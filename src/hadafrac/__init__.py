@@ -23,7 +23,6 @@ from .fuzzing import (
     FuzzConfig,
     RunSummary,
     TrialResult,
-    csv_text,
     format_csv_row,
     run_fuzz,
     run_trial,
@@ -94,7 +93,6 @@ __all__ = [
     "build_jacobi_rule",
     "constant_polya_szego",
     "constant_polya_szego_two_order",
-    "csv_text",
     "eval_expr",
     "format_csv_row",
     "gamma",

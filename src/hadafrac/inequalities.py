@@ -18,21 +18,27 @@ and the command line:
 Every inequality here is a proven theorem, so a failed check indicates a
 numerical or transcription bug, never new mathematics.  The tolerance
 policy (pass iff lhs <= bound * (1 + rel_tol) + abs_tol) absorbs only
-round-off.  Hypotheses are enforced by sampling: envelopes are checked at
-a geometric grid on [1, t] plus every quadrature node in use, and a
-violation raises EnvelopeError naming the first offending point.
+round-off.
+
+Every check runs on the positive discrete measure that the Gauss-Jacobi
+rule of each order induces at t (`operators.Measure`).  Each function is
+evaluated once, at a geometric grid on [1, t] plus every node of every
+measure; the hypotheses are checked on those values, and the integrals
+are the measures applied to the same values.  So the hypotheses hold at
+exactly the points the integrals use, where each inequality holds for
+the measure itself.  A violation raises EnvelopeError naming the first
+offending point.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EnvelopeError
-from .jacobi import build_jacobi_rule
-from .operators import _eval_on, hadamard_integral, power_rule_integral
-from .randfuncs import ConstantFunction
+from .errors import DomainError, EnvelopeError, QuadratureError
+from .operators import Measure, _check_t, _eval_on, power_rule_integral
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -132,6 +138,10 @@ class InequalityReport:
 def _report(theorem_id, lhs, bound, params, seed, rel_tol, abs_tol):
     lhs = float(lhs)
     bound = float(bound)
+    if not (math.isfinite(lhs) and math.isfinite(bound)):
+        raise QuadratureError(
+            f"{theorem_id.value}: non-finite result, lhs={lhs!r}, bound={bound!r}"
+        )
     if bound != 0.0:
         ratio = lhs / bound
     else:
@@ -148,17 +158,88 @@ def _report(theorem_id, lhs, bound, params, seed, rel_tol, abs_tol):
     )
 
 
-def _integral(f, alpha, t, nodes):
-    return hadamard_integral(f, alpha, t, nodes=nodes, estimate_error=False).value
+def _finite(check):
+    """Report a check's float overflow as QuadratureError.
+
+    Python float arithmetic raises on overflow (x ** p) and on a division by
+    a product that underflowed to zero (m * n_lo of tiny bands).
+    """
+
+    @functools.wraps(check)
+    def checked(*args, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise QuadratureError(f"{check.__name__}: {exc}") from exc
+
+    return checked
 
 
-def _sample_points(t, samples, alphas, nodes):
-    """Geometric grid on [1, t] plus the quadrature nodes actually used."""
-    parts = [t ** np.linspace(0.0, 1.0, samples)]
-    for alpha in alphas:
-        rule = build_jacobi_rule(float(alpha), nodes)
-        parts.append(np.minimum(t, np.maximum(1.0, t ** (1.0 - rule.nodes))))
-    return np.unique(np.concatenate(parts))
+def _sample(orders, t, nodes, samples, *fns):
+    """Measures of the given orders at t, and each of `fns` evaluated once.
+
+    The sample points are a geometric grid of `samples` points on [1, t]
+    plus every node of every measure.  Returns (tau, integrals, values,
+    params): tau holds the sorted distinct sample points, values[j] is
+    fns[j] at tau, integrals[k] maps an array of values at tau to its
+    integral under the measure of orders[k], and params records the orders
+    as alpha (and beta) and t.
+    """
+    measures = [Measure(order, t, nodes) for order in orders]
+    t = measures[0].t
+    grid = t ** np.linspace(0.0, 1.0, samples)
+    tau, where = np.unique(
+        np.concatenate([grid, *(m.tau for m in measures)]), return_inverse=True
+    )
+    at_nodes = np.split(where[grid.size:], len(measures))
+    integrals = [
+        lambda v, m=m, i=i: m.integral(v[i]) for m, i in zip(measures, at_nodes)
+    ]
+    values = [_eval_on(f, tau) for f in fns]
+    params = dict(zip(("alpha", "beta"), map(float, orders)), t=t)
+    return tau, integrals, values, params
+
+
+def _require(tau, name, *conditions):
+    """Raise EnvelopeError at the first sample point where a hypothesis fails.
+
+    Each condition is (holds, reason), with `holds` an elementwise
+    comparison of sampled values.  A point fails unless its comparison is
+    True, so a NaN never passes.
+    """
+    for holds, reason in conditions:
+        bad = np.flatnonzero(np.logical_not(holds))
+        if bad.size:
+            where = float(tau[bad[0]])
+            raise EnvelopeError(f"{name}: {reason} at tau={where!r}", tau=where)
+
+
+def _between(v, lo, hi):
+    """Conditions for 0 < lo <= v <= hi."""
+    return (
+        (lo > 0.0, "lower envelope is not strictly positive"),
+        (lo <= v, "function drops below its lower envelope"),
+        (v <= hi, "function exceeds its upper envelope"),
+    )
+
+
+def _require_bands(tau, xv, yv, u1, u2, v1, v2):
+    """Hypothesis of T31-T33 and P31-P33: u1 <= x <= u2, v1 <= y <= v2."""
+    _require(tau, "x", *_between(xv, u1, u2))
+    _require(tau, "y", *_between(yv, v1, v2))
+
+
+def _require_signs(tau, xv, yv):
+    """Hypothesis of YOUNG and POWMEAN: x, y >= 0."""
+    _require(tau, "x", (xv >= 0.0, "function is negative"))
+    _require(tau, "y", (yv >= 0.0, "function is negative"))
+
+
+def _quotient(num, den):
+    """num / den for a ratio check; den is 0 where every integral vanishes (t = 1)."""
+    if den == 0.0:
+        raise DomainError("the ratio of integrals is 0/0 where they vanish, at t = 1")
+    return num / den
 
 
 def verify_envelope(f, lo, hi, t, samples=ENVELOPE_SAMPLES, extra_tau=None):
@@ -171,46 +252,19 @@ def verify_envelope(f, lo, hi, t, samples=ENVELOPE_SAMPLES, extra_tau=None):
     samples = int(samples)
     if samples < 2:
         raise DomainError(f"samples must be at least 2, got {samples}")
-    t = float(t)
-    if not t >= 1.0:
-        raise DomainError(f"t must satisfy t >= 1, got {t:g}")
+    t = _check_t(t)
     tau = t ** np.linspace(0.0, 1.0, samples)
     if extra_tau is not None:
         tau = np.unique(np.concatenate([tau, np.asarray(extra_tau, dtype=float)]))
-    return _envelope_gap(f, lo, hi, tau) is None
+    values = (_eval_on(g, tau) for g in (f, lo, hi))
+    try:
+        _require(tau, "f", *_between(*values))
+    except EnvelopeError:
+        return False
+    return True
 
 
-def _envelope_gap(f, lo, hi, tau):
-    """First (tau, reason) where the envelope fails, or None if it holds."""
-    fv = _eval_on(f, tau)
-    lov = _eval_on(lo, tau)
-    hiv = _eval_on(hi, tau)
-    for cond, reason in (
-        (lov <= 0.0, "lower envelope is not strictly positive"),
-        (fv < lov, "function drops below its lower envelope"),
-        (fv > hiv, "function exceeds its upper envelope"),
-    ):
-        bad = np.flatnonzero(cond)
-        if bad.size:
-            return float(tau[bad[0]]), reason
-    return None
-
-
-def _require_envelope(name, f, lo, hi, tau):
-    gap = _envelope_gap(f, lo, hi, tau)
-    if gap is not None:
-        where, reason = gap
-        raise EnvelopeError(f"{name}: {reason} at tau={where!r}", tau=where)
-
-
-def _require_nonnegative(name, f, tau):
-    fv = _eval_on(f, tau)
-    bad = np.flatnonzero(fv < 0.0)
-    if bad.size:
-        where = float(tau[bad[0]])
-        raise EnvelopeError(f"{name} is negative at tau={where!r}", tau=where)
-
-
+@_finite
 def polya_szego_single(
     x,
     y,
@@ -229,23 +283,16 @@ def polya_szego_single(
     lhs   = I^a{v1 v2 x^2}(t) * I^a{u1 u2 y^2}(t)
     bound = (1/4) * (I^a{(v1 u1 + v2 u2) x y}(t))^2
     """
-    alpha = float(alpha)
-    t = float(t)
-    tau = _sample_points(t, samples, (alpha,), nodes)
-    _require_envelope("x", x, env.u1, env.u2, tau)
-    _require_envelope("y", y, env.v1, env.v2, tau)
-    u1, u2, v1, v2 = env.u1, env.u2, env.v1, env.v2
-    left_a = _integral(lambda s: v1(s) * v2(s) * x(s) ** 2, alpha, t, nodes)
-    left_b = _integral(lambda s: u1(s) * u2(s) * y(s) ** 2, alpha, t, nodes)
-    cross = _integral(
-        lambda s: (v1(s) * u1(s) + v2(s) * u2(s)) * x(s) * y(s), alpha, t, nodes
+    tau, (ia,), (xv, yv, u1, u2, v1, v2), params = _sample(
+        (alpha,), t, nodes, samples, x, y, env.u1, env.u2, env.v1, env.v2
     )
-    params = {"alpha": alpha, "t": t}
-    return _report(
-        TheoremId.T31, left_a * left_b, 0.25 * cross**2, params, seed, rel_tol, abs_tol
-    )
+    _require_bands(tau, xv, yv, u1, u2, v1, v2)
+    lhs = ia(v1 * v2 * xv**2) * ia(u1 * u2 * yv**2)
+    bound = 0.25 * ia((v1 * u1 + v2 * u2) * xv * yv) ** 2
+    return _report(TheoremId.T31, lhs, bound, params, seed, rel_tol, abs_tol)
 
 
+@_finite
 def polya_szego_double(
     x,
     y,
@@ -265,30 +312,16 @@ def polya_szego_double(
     lhs   = I^a{u1 u2}(t) I^b{v1 v2}(t) I^a{x^2}(t) I^b{y^2}(t)
     bound = (1/4) * (I^a{u1 x}(t) I^b{v1 y}(t) + I^a{u2 x}(t) I^b{v2 y}(t))^2
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    t = float(t)
-    tau = _sample_points(t, samples, (alpha, beta), nodes)
-    _require_envelope("x", x, env.u1, env.u2, tau)
-    _require_envelope("y", y, env.v1, env.v2, tau)
-    u1, u2, v1, v2 = env.u1, env.u2, env.v1, env.v2
-    lhs = (
-        _integral(lambda s: u1(s) * u2(s), alpha, t, nodes)
-        * _integral(lambda s: v1(s) * v2(s), beta, t, nodes)
-        * _integral(lambda s: x(s) ** 2, alpha, t, nodes)
-        * _integral(lambda s: y(s) ** 2, beta, t, nodes)
+    tau, (ia, ib), (xv, yv, u1, u2, v1, v2), params = _sample(
+        (alpha, beta), t, nodes, samples, x, y, env.u1, env.u2, env.v1, env.v2
     )
-    cross = _integral(lambda s: u1(s) * x(s), alpha, t, nodes) * _integral(
-        lambda s: v1(s) * y(s), beta, t, nodes
-    ) + _integral(lambda s: u2(s) * x(s), alpha, t, nodes) * _integral(
-        lambda s: v2(s) * y(s), beta, t, nodes
-    )
-    params = {"alpha": alpha, "beta": beta, "t": t}
-    return _report(
-        TheoremId.T32, lhs, 0.25 * cross**2, params, seed, rel_tol, abs_tol
-    )
+    _require_bands(tau, xv, yv, u1, u2, v1, v2)
+    lhs = ia(u1 * u2) * ib(v1 * v2) * ia(xv**2) * ib(yv**2)
+    cross = ia(u1 * xv) * ib(v1 * yv) + ia(u2 * xv) * ib(v2 * yv)
+    return _report(TheoremId.T32, lhs, 0.25 * cross**2, params, seed, rel_tol, abs_tol)
 
 
+@_finite
 def product_bound(
     x,
     y,
@@ -311,20 +344,12 @@ def product_bound(
     Positivity of u1 and v1 is part of the envelope hypothesis, so the
     divisions are safe once the precondition check passes.
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    t = float(t)
-    tau = _sample_points(t, samples, (alpha, beta), nodes)
-    _require_envelope("x", x, env.u1, env.u2, tau)
-    _require_envelope("y", y, env.v1, env.v2, tau)
-    u1, u2, v1, v2 = env.u1, env.u2, env.v1, env.v2
-    lhs = _integral(lambda s: x(s) ** 2, alpha, t, nodes) * _integral(
-        lambda s: y(s) ** 2, beta, t, nodes
+    tau, (ia, ib), (xv, yv, u1, u2, v1, v2), params = _sample(
+        (alpha, beta), t, nodes, samples, x, y, env.u1, env.u2, env.v1, env.v2
     )
-    bound = _integral(
-        lambda s: u2(s) * x(s) * y(s) / v1(s), alpha, t, nodes
-    ) * _integral(lambda s: v2(s) * x(s) * y(s) / u1(s), beta, t, nodes)
-    params = {"alpha": alpha, "beta": beta, "t": t}
+    _require_bands(tau, xv, yv, u1, u2, v1, v2)
+    lhs = ia(xv**2) * ib(yv**2)
+    bound = ia(u2 * xv * yv / v1) * ib(v2 * xv * yv / u1)
     return _report(TheoremId.T33, lhs, bound, params, seed, rel_tol, abs_tol)
 
 
@@ -335,6 +360,7 @@ def _constant_ps_bound(cb):
     return 0.25 * root**2
 
 
+@_finite
 def constant_polya_szego(
     x,
     y,
@@ -353,21 +379,15 @@ def constant_polya_szego(
     lhs   = I^a{x^2}(t) I^a{y^2}(t) / (I^a{x y}(t))^2
     bound = (1/4) * (sqrt(m n / (M N)) + sqrt(M N / (m n)))^2
     """
-    alpha = float(alpha)
-    t = float(t)
-    tau = _sample_points(t, samples, (alpha,), nodes)
-    _require_envelope("x", x, ConstantFunction(cb.m), ConstantFunction(cb.M), tau)
-    _require_envelope("y", y, ConstantFunction(cb.n_lo), ConstantFunction(cb.N_hi), tau)
-    sq_x = _integral(lambda s: x(s) ** 2, alpha, t, nodes)
-    sq_y = _integral(lambda s: y(s) ** 2, alpha, t, nodes)
-    cross = _integral(lambda s: x(s) * y(s), alpha, t, nodes)
-    lhs = sq_x * sq_y / cross**2
-    params = {"alpha": alpha, "t": t}
+    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, samples, x, y)
+    _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
+    lhs = _quotient(ia(xv**2) * ia(yv**2), ia(xv * yv) ** 2)
     return _report(
         TheoremId.P31, lhs, _constant_ps_bound(cb), params, seed, rel_tol, abs_tol
     )
 
 
+@_finite
 def constant_polya_szego_two_order(
     x,
     y,
@@ -391,24 +411,16 @@ def constant_polya_szego_two_order(
     I^a{1}(t) * I^b{1}(t) through the power rule; the two agree to
     round-off, which a unit test pins down.
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    t = float(t)
-    tau = _sample_points(t, samples, (alpha, beta), nodes)
-    _require_envelope("x", x, ConstantFunction(cb.m), ConstantFunction(cb.M), tau)
-    _require_envelope("y", y, ConstantFunction(cb.n_lo), ConstantFunction(cb.N_hi), tau)
+    tau, (ia, ib), (xv, yv), params = _sample((alpha, beta), t, nodes, samples, x, y)
+    _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
     prefactor = power_rule_integral(1.0, alpha, t) * power_rule_integral(1.0, beta, t)
-    sq_x = _integral(lambda s: x(s) ** 2, alpha, t, nodes)
-    sq_y = _integral(lambda s: y(s) ** 2, beta, t, nodes)
-    mean_x = _integral(x, alpha, t, nodes)
-    mean_y = _integral(y, beta, t, nodes)
-    lhs = prefactor * sq_x * sq_y / (mean_x * mean_y) ** 2
-    params = {"alpha": alpha, "beta": beta, "t": t}
+    lhs = _quotient(prefactor * ia(xv**2) * ib(yv**2), (ia(xv) * ib(yv)) ** 2)
     return _report(
         TheoremId.P32, lhs, _constant_ps_bound(cb), params, seed, rel_tol, abs_tol
     )
 
 
+@_finite
 def ratio_bound_constant(
     x,
     y,
@@ -428,24 +440,15 @@ def ratio_bound_constant(
     lhs   = I^a{x^2}(t) * I^b{y^2}(t)
     bound = (M N / (m n)) * I^a{x y}(t) * I^b{x y}(t)
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    t = float(t)
-    tau = _sample_points(t, samples, (alpha, beta), nodes)
-    _require_envelope("x", x, ConstantFunction(cb.m), ConstantFunction(cb.M), tau)
-    _require_envelope("y", y, ConstantFunction(cb.n_lo), ConstantFunction(cb.N_hi), tau)
-    lhs = _integral(lambda s: x(s) ** 2, alpha, t, nodes) * _integral(
-        lambda s: y(s) ** 2, beta, t, nodes
-    )
+    tau, (ia, ib), (xv, yv), params = _sample((alpha, beta), t, nodes, samples, x, y)
+    _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
+    lhs = ia(xv**2) * ib(yv**2)
     factor = (cb.M * cb.N_hi) / (cb.m * cb.n_lo)
-    cross_a = _integral(lambda s: x(s) * y(s), alpha, t, nodes)
-    cross_b = _integral(lambda s: x(s) * y(s), beta, t, nodes)
-    params = {"alpha": alpha, "beta": beta, "t": t}
-    return _report(
-        TheoremId.P33, lhs, factor * cross_a * cross_b, params, seed, rel_tol, abs_tol
-    )
+    bound = factor * ia(xv * yv) * ib(xv * yv)
+    return _report(TheoremId.P33, lhs, bound, params, seed, rel_tol, abs_tol)
 
 
+@_finite
 def minkowsky_related(
     x,
     y,
@@ -463,7 +466,7 @@ def minkowsky_related(
 ):
     """Minkowski-type check via a Young splitting (T34).
 
-    Requires 0 < m < x/y < M pointwise.  Then
+    Requires 0 < m < x/y < M pointwise, with M finite.  Then
 
       lhs   = I^a{x y}(t)
       bound = (2^(p-1) M^p / (p (M+1)^p)) * I^a{x^p + y^p}(t)
@@ -479,48 +482,24 @@ def minkowsky_related(
     """
     m = float(m)
     M = float(M)
-    if not (0.0 < m < M):
-        raise DomainError(f"need 0 < m < M, got m={m:g}, M={M:g}")
-    alpha = float(alpha)
-    t = float(t)
-    tau = _sample_points(t, samples, (alpha,), nodes)
-    xv = _eval_on(x, tau)
-    yv = _eval_on(y, tau)
-    bad = np.flatnonzero(yv <= 0.0)
-    if bad.size:
-        where = float(tau[bad[0]])
-        raise EnvelopeError(f"y is not strictly positive at tau={where!r}", tau=where)
+    if not (0.0 < m < M < math.inf):
+        raise DomainError(f"need 0 < m < M < inf, got m={m:g}, M={M:g}")
+    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, samples, x, y)
+    _require(tau, "y", (yv > 0.0, "function is not strictly positive"))
     ratio = xv / yv
-    bad = np.flatnonzero((ratio <= m) | (ratio >= M))
-    if bad.size:
-        where = float(tau[bad[0]])
-        raise EnvelopeError(
-            f"x/y leaves the open interval ({m:g}, {M:g}) at tau={where!r}", tau=where
-        )
+    _require(tau, "x/y", ((m < ratio) & (ratio < M), f"leaves the open interval ({m:g}, {M:g})"))
     p, q = hp.p, hp.q
-    lhs = _integral(lambda s: x(s) * y(s), alpha, t, nodes)
-    sum_p = _integral(lambda s: x(s) ** p + y(s) ** p, alpha, t, nodes)
-    sum_q = _integral(lambda s: x(s) ** q + y(s) ** q, alpha, t, nodes)
     c_p = 2.0 ** (p - 1.0) * M**p / (p * (M + 1.0) ** p)
     c_q = 2.0 ** (q - 1.0) / (q * (m + 1.0) ** q)
-    bound = c_p * sum_p + c_q * sum_q
-    mid = (1.0 / p) * (M / (M + 1.0)) ** p * _integral(
-        lambda s: (x(s) + y(s)) ** p, alpha, t, nodes
-    ) + (1.0 / q) * (1.0 / (m + 1.0)) ** q * _integral(
-        lambda s: (x(s) + y(s)) ** q, alpha, t, nodes
-    )
-    params = {
-        "alpha": alpha,
-        "t": t,
-        "p": p,
-        "q": q,
-        "m": m,
-        "M": M,
-        "young_mid": mid,
-    }
-    return _report(TheoremId.T34, lhs, bound, params, seed, rel_tol, abs_tol)
+    bound = c_p * ia(xv**p + yv**p) + c_q * ia(xv**q + yv**q)
+    mid = (1.0 / p) * (M / (M + 1.0)) ** p * ia((xv + yv) ** p) + (1.0 / q) * (
+        1.0 / (m + 1.0)
+    ) ** q * ia((xv + yv) ** q)
+    params.update(p=p, q=q, m=m, M=M, young_mid=mid)
+    return _report(TheoremId.T34, ia(xv * yv), bound, params, seed, rel_tol, abs_tol)
 
 
+@_finite
 def young_pointwise_check(
     x,
     y,
@@ -535,20 +514,15 @@ def young_pointwise_check(
     seed=None,
 ):
     """Young product check (YOUNG): I^a{x y} <= I^a{x^p}/p + I^a{y^q}/q."""
-    alpha = float(alpha)
-    t = float(t)
-    tau = _sample_points(t, samples, (alpha,), nodes)
-    _require_nonnegative("x", x, tau)
-    _require_nonnegative("y", y, tau)
+    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, samples, x, y)
+    _require_signs(tau, xv, yv)
     p, q = hp.p, hp.q
-    lhs = _integral(lambda s: x(s) * y(s), alpha, t, nodes)
-    bound = (1.0 / p) * _integral(lambda s: x(s) ** p, alpha, t, nodes) + (
-        1.0 / q
-    ) * _integral(lambda s: y(s) ** q, alpha, t, nodes)
-    params = {"alpha": alpha, "t": t, "p": p, "q": q}
-    return _report(TheoremId.YOUNG, lhs, bound, params, seed, rel_tol, abs_tol)
+    bound = (1.0 / p) * ia(xv**p) + (1.0 / q) * ia(yv**q)
+    params.update(p=p, q=q)
+    return _report(TheoremId.YOUNG, ia(xv * yv), bound, params, seed, rel_tol, abs_tol)
 
 
+@_finite
 def power_mean_check(
     x,
     y,
@@ -564,16 +538,10 @@ def power_mean_check(
 ):
     """Power-mean check (POWMEAN): I^a{(x+y)^r} <= 2^(r-1) I^a{x^r + y^r}."""
     r = float(r)
-    if not r > 1.0:
-        raise DomainError(f"need r > 1, got {r:g}")
-    alpha = float(alpha)
-    t = float(t)
-    tau = _sample_points(t, samples, (alpha,), nodes)
-    _require_nonnegative("x", x, tau)
-    _require_nonnegative("y", y, tau)
-    lhs = _integral(lambda s: (x(s) + y(s)) ** r, alpha, t, nodes)
-    bound = 2.0 ** (r - 1.0) * _integral(
-        lambda s: x(s) ** r + y(s) ** r, alpha, t, nodes
-    )
-    params = {"alpha": alpha, "t": t, "r": r}
-    return _report(TheoremId.POWMEAN, lhs, bound, params, seed, rel_tol, abs_tol)
+    if not 1.0 < r < math.inf:
+        raise DomainError(f"need finite r > 1, got {r:g}")
+    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, samples, x, y)
+    _require_signs(tau, xv, yv)
+    bound = 2.0 ** (r - 1.0) * ia(xv**r + yv**r)
+    params["r"] = r
+    return _report(TheoremId.POWMEAN, ia((xv + yv) ** r), bound, params, seed, rel_tol, abs_tol)

@@ -114,6 +114,10 @@ def _jacobi_roots(n: int, a: float, b: float) -> np.ndarray:
             step = p / denom
             # keep iterates inside the open interval
             while not (-1.0 < x - step < 1.0):
+                if not math.isfinite(step):
+                    raise QuadratureError(
+                        f"Jacobi recurrence of degree {n} (params {a:g},{b:g}) overflowed"
+                    )
                 step *= 0.5
             x -= step
             if abs(step) <= _NEWTON_TOL:
@@ -152,6 +156,8 @@ def jacobi_rule_01(n: int, zero_exponent: float, one_exponent: float = 0.0):
     """
     if n < 1:
         raise DomainError(f"need at least one node, got n={n}")
+    if not (math.isfinite(zero_exponent) and math.isfinite(one_exponent)):
+        raise DomainError("endpoint exponents must be finite")
     if zero_exponent <= -1.0 or one_exponent <= -1.0:
         raise DomainError("endpoint exponents must exceed -1 for integrability")
     a = float(one_exponent)  # (1-x)^a side maps to the s=1 endpoint

@@ -56,8 +56,8 @@ def _as_float(name, value):
         out = float(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be a real number, got {value!r}") from exc
-    if math.isnan(out):
-        raise DomainError(f"{name} must not be NaN")
+    if not math.isfinite(out):
+        raise DomainError(f"{name} must be finite, got {out!r}")
     return out
 
 
@@ -84,6 +84,53 @@ def _eval_on(f, args):
             f"integrand returned a non-finite value near tau={bad.tolist()}"
         )
     return arr
+
+
+class Measure:
+    """The positive discrete measure that Gauss-Jacobi quadrature puts on [1, t].
+
+    With s_i, w_i the nodes and weights of the n-node rule for the weight
+    s^(alpha-1) on [0, 1], the integral of order alpha at t becomes
+
+        I^alpha f(t) = prefactor * sum_i w_i f(tau_i),
+        tau_i = t^(1 - s_i),  prefactor = (ln t)^alpha / Gamma(alpha).
+
+    Every weight is positive, so an inequality between integrands that holds
+    at the points tau_i also holds between their integrals.  A prebuilt
+    `rule` of order alpha replaces the cached n-node rule.
+    """
+
+    __slots__ = ("t", "tau", "weights", "prefactor")
+
+    def __init__(self, alpha, t, n, rule=None):
+        t = _check_t(t)
+        alpha = _as_float("alpha", alpha)
+        if rule is None:
+            rule = build_jacobi_rule(alpha, int(n))
+        self.t = t
+        try:
+            self.prefactor = math.log(t) ** alpha / gamma(alpha)
+        except OverflowError as exc:
+            raise QuadratureError(f"(ln t)^alpha overflows for alpha={alpha:g}, t={t:g}") from exc
+        self._place(rule.nodes, rule.weights)
+
+    def _place(self, nodes, weights):
+        self.tau = np.minimum(self.t, np.maximum(1.0, self.t ** (1.0 - nodes)))
+        self.weights = weights
+
+    def with_rule(self, nodes, weights):
+        """The same prefactor on another rule for the weight s^(alpha-1)."""
+        other = object.__new__(Measure)
+        other.t, other.prefactor = self.t, self.prefactor
+        other._place(nodes, weights)
+        return other
+
+    def integral(self, values):
+        """prefactor * sum_i w_i values_i, for the values of f at `tau`."""
+        value = self.prefactor * float(np.dot(self.weights, values))
+        if not math.isfinite(value):
+            raise QuadratureError(f"integral overflows at t={self.t:g}")
+        return value
 
 
 def hadamard_integral(f, alpha, t, rule=None, nodes=64, estimate_error=True,
@@ -118,23 +165,23 @@ def hadamard_integral(f, alpha, t, rule=None, nodes=64, estimate_error=True,
         count = rule.count
     else:
         count = int(nodes)
-        build_jacobi_rule(alpha, count)  # validate (alpha, n) up front
+        rule = build_jacobi_rule(alpha, count)  # validates (alpha, n) up front
     if t == 1.0:
         return OperatorResult(value=0.0, estimated_error=0.0, nodes_used=count)
-    log_t = math.log(t)
-    prefactor = log_t**alpha / gamma(alpha)
+    measure = Measure(alpha, t, count, rule)
 
     def apply(n):
-        if gam == 0.0:
-            r = rule if (rule is not None and n == rule.count) else build_jacobi_rule(alpha, n)
-            s, v = r.nodes, r.weights
-        else:
+        if gam != 0.0:
             s, w = jacobi_rule_01(n, alpha - 1.0, gam)
             # Dividing out the absorbed factor turns the rule back into one
             # for the plain weight s^(alpha-1), applied to f directly.
-            v = w / (1.0 - s) ** gam
-        tau = np.minimum(t, np.maximum(1.0, t ** (1.0 - s)))
-        return prefactor * float(np.dot(v, _eval_on(f, tau)))
+            m = measure.with_rule(s, w / (1.0 - s) ** gam)
+        elif n != count:
+            r = build_jacobi_rule(alpha, n)
+            m = measure.with_rule(r.nodes, r.weights)
+        else:
+            m = measure
+        return m.integral(_eval_on(f, m.tau))
 
     value = apply(count)
     err = abs(apply(2 * count) - value) if estimate_error else 0.0

@@ -44,8 +44,9 @@ class PiecewiseLogPoly:
     breakpoints[0] is always 0 (tau = 1); piece j applies on
     [breakpoints[j], breakpoints[j+1]) and the last piece extends right.
     Coefficients are stored lowest degree first, in the unshifted variable
-    ln tau.  The unclipped polynomial is continuous at every breakpoint;
-    `clipped` records whether clipping engages anywhere on the design span.
+    ln tau, one row of equal length per piece.  The unclipped polynomial is
+    continuous at every breakpoint; `clipped` records whether clipping
+    engages anywhere on the design span.
     """
 
     breakpoints: tuple
@@ -63,15 +64,10 @@ class PiecewiseLogPoly:
         u = np.log(arr)
         edges = np.asarray(self.breakpoints)
         idx = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(edges) - 1)
+        rows = np.asarray(self.coefficients)[idx]
         out = np.zeros_like(u)
-        for j, coeffs in enumerate(self.coefficients):
-            sel = idx == j
-            if not np.any(sel):
-                continue
-            acc = np.zeros(np.count_nonzero(sel))
-            for c in reversed(coeffs):
-                acc = acc * u[sel] + c
-            out[sel] = acc
+        for c in rows.T[::-1]:
+            out = out * u + c
         return float(out[0]) if scalar else out.reshape(np.shape(tau))
 
     def __call__(self, tau):

@@ -2,11 +2,14 @@
 CSV determinism, and the HADAFRAC_SEED environment default."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hadafrac
 from hadafrac.cli import main
 from hadafrac.fuzzing import CSV_HEADER
 
@@ -40,6 +43,12 @@ class TestIntegrate:
         lines = out.splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("estimated error ")
+
+    @pytest.mark.parametrize("alpha, t", [("inf", "2"), ("0.5", "inf")])
+    def test_nonfinite_arguments_are_usage_errors(self, capsys, alpha, t):
+        code, _, err = run_cli(capsys, "integrate", "1", alpha, t)
+        assert code == 2
+        assert "error:" in err
 
     def test_custom_nodes_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--nodes", "32", "integrate", "1", "1.0", E_STR)
@@ -210,22 +219,24 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
+def run_module(*argv):
+    """Run `python -m hadafrac.cli` on the package these tests imported."""
+    path = [str(Path(hadafrac.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "hadafrac.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+
+
 class TestSubprocessInvocation:
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hadafrac.cli", "integrate", "1", "0.5", E_STR],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_module("integrate", "1", "0.5", E_STR)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "1.128379167095513"
 
     def test_module_entry_point_failure_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hadafrac.cli", "integrate", "oops(", "1", "2"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_module("integrate", "oops(", "1", "2")
         assert proc.returncode == 2

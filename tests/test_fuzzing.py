@@ -11,7 +11,6 @@ from hadafrac.fuzzing import (
     FuzzConfig,
     RunSummary,
     TrialResult,
-    csv_text,
     format_csv_row,
     run_fuzz,
     run_trial,
@@ -27,19 +26,17 @@ def small_run(theorem_id, trials=40, master_seed=7734):
     return run_fuzz(config)
 
 
+def csv_of(theorem_id, trials, master_seed=7734):
+    stream = io.StringIO()
+    run_fuzz(FuzzConfig(theorem_id=theorem_id, trials=trials, master_seed=master_seed),
+             csv_file=stream)
+    return stream.getvalue()
+
+
 class TestDeterminism:
     def test_identical_configs_give_identical_csv(self):
         for theorem in (TheoremId.T31, TheoremId.T34, TheoremId.POWMEAN):
-            config = FuzzConfig(theorem_id=theorem, trials=25, master_seed=42)
-            _, results_a = run_fuzz(config)
-            _, results_b = run_fuzz(config)
-            assert csv_text(results_a) == csv_text(results_b)
-
-    def test_streamed_and_collected_csv_agree(self):
-        config = FuzzConfig(theorem_id=TheoremId.T32, trials=15, master_seed=3)
-        stream = io.StringIO()
-        _, results = run_fuzz(config, csv_file=stream)
-        assert stream.getvalue() == csv_text(results)
+            assert csv_of(theorem, 25, 42) == csv_of(theorem, 25, 42)
 
     def test_trial_is_reproducible_from_its_seed(self):
         config = FuzzConfig(theorem_id=TheoremId.T33, trials=20, master_seed=99)
@@ -54,9 +51,7 @@ class TestDeterminism:
         assert kinked == probe.kinked
 
     def test_different_master_seeds_differ(self):
-        _, a = small_run(TheoremId.T31, trials=5, master_seed=1)
-        _, b = small_run(TheoremId.T31, trials=5, master_seed=2)
-        assert csv_text(a) != csv_text(b)
+        assert csv_of(TheoremId.T31, 5, 1) != csv_of(TheoremId.T31, 5, 2)
 
     def test_trial_seed_wraps_into_63_bits(self):
         assert trial_seed(2**63 - 1, 5) == 4
@@ -100,8 +95,7 @@ class TestSoundness:
 class TestCsvSchema:
     def test_header_is_exact(self):
         assert CSV_HEADER == "theorem,alpha,beta,t,p,q,seed,lhs,bound,ratio,margin,pass"
-        text = csv_text([])
-        assert text == CSV_HEADER + "\n"
+        assert csv_of(TheoremId.T31, 1).split("\n")[0] == CSV_HEADER
 
     def test_row_shape_and_round_trip(self):
         _, results = small_run(TheoremId.T34, trials=10)
@@ -118,8 +112,7 @@ class TestCsvSchema:
             assert fields[11] in ("true", "false")
 
     def test_lf_line_endings_only(self):
-        _, results = small_run(TheoremId.P32, trials=5)
-        text = csv_text(results)
+        text = csv_of(TheoremId.P32, 5)
         assert "\r" not in text
         assert text.count("\n") == 6
 
@@ -171,6 +164,9 @@ class TestConfigValidation:
             {"beta_range": (0.05, 1.0)},
             {"t_range": (1.0, 2.0)},
             {"t_range": (3.0, 2.0)},
+            {"t_range": (2.0, math.inf)},
+            {"alpha_range": (0.5, math.inf)},
+            {"beta_range": (0.5, math.nan)},
             {"nodes": 1},
         ],
     )

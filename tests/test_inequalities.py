@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hadafrac.errors import DomainError, EnvelopeError
+from hadafrac.errors import DomainError, EnvelopeError, HadafracError
 from hadafrac.gammafn import gamma
 from hadafrac.inequalities import (
     BoundingQuadruple,
@@ -265,6 +266,14 @@ class TestConstantPolyaSzego:
         with pytest.raises(EnvelopeError):
             constant_polya_szego(ConstantFunction(1.5), TWO, cb, 0.5, E)
 
+    def test_ratio_is_undefined_at_one(self):
+        # Every integral vanishes at t = 1, so the ratio would be 0/0.
+        cb = ConstantBounds(1.0, 2.0, 1.0, 3.0)
+        with pytest.raises(DomainError):
+            constant_polya_szego(ONE, TWO, cb, 0.5, 1.0)
+        with pytest.raises(DomainError):
+            constant_polya_szego_two_order(ONE, TWO, cb, 0.5, 1.5, 1.0)
+
 
 class TestConstantPolyaSzegoTwoOrder:
     def test_unit_functions_give_unit_ratio(self):
@@ -377,6 +386,8 @@ class TestMinkowskyRelated:
             minkowsky_related(ONE, ONE, HolderPair(2.0, 2.0), 2.0, 0.5, 1.0, E)
         with pytest.raises(DomainError):
             minkowsky_related(ONE, ONE, HolderPair(2.0, 2.0), -1.0, 2.0, 1.0, E)
+        with pytest.raises(DomainError):
+            minkowsky_related(ONE, ONE, HolderPair(2.0, 2.0), 0.5, math.inf, 1.0, E)
 
 
 class TestYoungPointwise:
@@ -439,6 +450,10 @@ class TestReportInvariants:
         assert math.isfinite(r.ratio)
         assert r.passed == (r.lhs <= r.bound * (1.0 + 1e-9) + 1e-12)
 
+    def test_infinite_point_is_rejected(self):
+        with pytest.raises(DomainError):
+            polya_szego_single(ONE, ONE, UNIT_ENV, 0.5, math.inf)
+
     def test_seed_is_recorded(self):
         r = polya_szego_single(ONE, ONE, UNIT_ENV, 0.5, E, seed=1234)
         assert r.seed == 1234
@@ -482,3 +497,56 @@ class TestSoundnessMiniFuzz:
                     f"{r.theorem_id.value} failed at seed {seed}: "
                     f"lhs={r.lhs!r} bound={r.bound!r}"
                 )
+
+
+# Ordinary values plus the boundary t = 1, huge and non-finite values.
+EXTREMES = [1.0, 1e-300, 1e10, 1e300, math.inf, -math.inf, math.nan]
+POINTS = st.one_of(st.floats(1.0, 20.0), st.sampled_from(EXTREMES + [1.0 + 1e-15]))
+ORDERS = st.one_of(st.sampled_from([0.05, 0.5, 1.0, 2.5, 170.0]), st.sampled_from(EXTREMES))
+LEVELS = st.one_of(st.floats(0.1, 5.0), st.sampled_from(EXTREMES + [0.0]))
+EXPONENTS = st.one_of(st.floats(1.01, 8.0), st.sampled_from(EXTREMES))
+
+
+def _call_check(theorem, x, y, lo, hi, alpha, beta, t, p):
+    band = BoundingQuadruple(*map(ConstantFunction, (lo, hi, lo, hi)))
+    calls = {
+        TheoremId.T31: lambda: polya_szego_single(x, y, band, alpha, t, nodes=16),
+        TheoremId.T32: lambda: polya_szego_double(x, y, band, alpha, beta, t, nodes=16),
+        TheoremId.T33: lambda: product_bound(x, y, band, alpha, beta, t, nodes=16),
+        TheoremId.P31: lambda: constant_polya_szego(
+            x, y, ConstantBounds(lo, hi, lo, hi), alpha, t, nodes=16),
+        TheoremId.P32: lambda: constant_polya_szego_two_order(
+            x, y, ConstantBounds(lo, hi, lo, hi), alpha, beta, t, nodes=16),
+        TheoremId.P33: lambda: ratio_bound_constant(
+            x, y, ConstantBounds(lo, hi, lo, hi), alpha, beta, t, nodes=16),
+        TheoremId.T34: lambda: minkowsky_related(
+            x, y, HolderPair.conjugate(p), lo, hi, alpha, t, nodes=16),
+        TheoremId.YOUNG: lambda: young_pointwise_check(
+            x, y, HolderPair.conjugate(p), alpha, t, nodes=16),
+        TheoremId.POWMEAN: lambda: power_mean_check(x, y, p, alpha, t, nodes=16),
+    }
+    return calls[theorem]()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=2000)
+@given(
+    theorem=st.sampled_from(list(TheoremId)),
+    levels=st.tuples(LEVELS, LEVELS, LEVELS, LEVELS),
+    alpha=ORDERS,
+    beta=ORDERS,
+    t=POINTS,
+    p=EXPONENTS,
+)
+@example(theorem=TheoremId.P31, levels=(1.0, 1.0, 1e-300, 2.0), alpha=0.5, beta=0.5,
+         t=2.0, p=2.0)  # m * n_lo underflows to 0 in the bound
+@example(theorem=TheoremId.T34, levels=(1.0, 1.0, 0.5, 2.0), alpha=0.5, beta=0.5,
+         t=2.0, p=1e10)  # 2^(p-1) overflows
+def test_every_check_reports_finite_values_or_raises(theorem, levels, alpha, beta, t, p):
+    x_level, y_level, lo, hi = levels
+    try:
+        r = _call_check(theorem, ConstantFunction(x_level), ConstantFunction(y_level),
+                        lo, hi, alpha, beta, t, p)
+    except HadafracError:
+        return
+    assert math.isfinite(r.lhs) and math.isfinite(r.bound)

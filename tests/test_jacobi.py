@@ -126,7 +126,8 @@ def test_spectral_convergence_on_smooth_integrand():
 
 @pytest.mark.parametrize(
     "alpha,n",
-    [(MIN_RULE_ALPHA / 2.0, 16), (0.0, 16), (-1.0, 16), (0.5, 1), (0.5, 0)],
+    [(MIN_RULE_ALPHA / 2.0, 16), (0.0, 16), (-1.0, 16), (0.5, 1), (0.5, 0),
+     (math.inf, 16)],
 )
 def test_rejects_out_of_domain(alpha, n):
     with pytest.raises(DomainError):
@@ -138,6 +139,10 @@ def test_rejects_nonintegrable_exponents():
         jacobi_rule_01(8, -1.0)
     with pytest.raises(DomainError):
         jacobi_rule_01(8, -0.5, -1.5)
+    with pytest.raises(DomainError):
+        jacobi_rule_01(8, math.inf)
+    with pytest.raises(DomainError):
+        jacobi_rule_01(8, 0.5, math.nan)
 
 
 def test_quadrature_rule_is_frozen():

@@ -240,6 +240,10 @@ def test_rejects_bad_orders_and_parameters():
         semigroup_residual(np.exp, 0.5, 0.5, 2.0, n=8)
     with pytest.raises(DomainError):
         power_rule_integral(0.5, 0.25, 1.0)  # closed form diverges at t = 1
+    with pytest.raises(DomainError):
+        hadamard_integral(np.exp, math.inf, 2.0)
+    with pytest.raises(DomainError):
+        hadamard_integral(np.exp, 0.5, math.inf)
 
 
 def test_nonfinite_integrand_is_flagged():

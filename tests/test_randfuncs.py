@@ -110,6 +110,20 @@ class TestEvaluation:
         for i, x in enumerate(tau):
             assert fn(float(x)) == vec[i]
 
+    def test_matches_piece_by_piece_horner(self):
+        # Reference: Horner's rule run separately on the points of each piece.
+        for seed in range(40):
+            fn, _, _ = random_bounded_function(seed, 0.5, 2.0, 1 + seed % 16, seed % 5)
+            u = np.log(DENSE_TAU)
+            piece = np.searchsorted(fn.breakpoints, u, side="right") - 1
+            expected = np.zeros_like(u)
+            for j, coeffs in enumerate(fn.coefficients):
+                acc = np.zeros(np.count_nonzero(piece == j))
+                for c in reversed(coeffs):
+                    acc = acc * u[piece == j] + c
+                expected[piece == j] = acc
+            assert np.array_equal(fn.unclipped(DENSE_TAU), expected)
+
     def test_two_dimensional_arguments(self):
         fn, _, _ = random_bounded_function(5, 0.5, 2.0, 3, 2)
         tau = np.array([[1.0, 2.0], [3.0, 4.0]])
