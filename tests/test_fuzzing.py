@@ -38,6 +38,13 @@ class TestDeterminism:
         for theorem in (TheoremId.T31, TheoremId.T34, TheoremId.POWMEAN):
             assert csv_of(theorem, 25, 42) == csv_of(theorem, 25, 42)
 
+    def test_streamed_and_collected_csv_agree(self):
+        config = FuzzConfig(theorem_id=TheoremId.T32, trials=15, master_seed=3)
+        stream = io.StringIO()
+        _, results = run_fuzz(config, csv_file=stream)
+        collected = "".join(format_csv_row(r.report) + "\n" for r in results)
+        assert stream.getvalue() == CSV_HEADER + "\n" + collected
+
     def test_trial_is_reproducible_from_its_seed(self):
         config = FuzzConfig(theorem_id=TheoremId.T33, trials=20, master_seed=99)
         _, results = run_fuzz(config)
