@@ -68,8 +68,12 @@ class FuzzConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "theorem_id", TheoremId(self.theorem_id))
-        if self.trials < 1:
-            raise DomainError(f"trials must be at least 1, got {self.trials}")
+        if isinstance(self.trials, bool) or self.trials < 1:
+            raise DomainError(f"trials must be an integer of at least 1, got {self.trials!r}")
+        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
+            # An infinite or NaN tolerance would pass every trial vacuously.
+            if not (0.0 <= tol < math.inf):
+                raise DomainError(f"{name} must be finite and >= 0, got {tol!r}")
         for name, rng in (("alpha_range", self.alpha_range), ("beta_range", self.beta_range)):
             lo, hi = rng
             if not (MIN_FUZZ_ORDER <= lo <= hi < math.inf):

@@ -3,10 +3,11 @@ factors.
 
 The rules produced here absorb the weakly singular kernel of the log-kernel
 fractional integral into the quadrature weight, so the integrand handed to
-the rule is smooth and the rule converges spectrally.  Nodes are computed by
-Newton iteration on the Jacobi three-term recurrence (Chebyshev-angle initial
-guesses, Maehly deflation against already-found roots); no external
-eigensolver is involved.
+the rule is smooth and the rule converges spectrally.  Nodes are the
+eigenvalues of the symmetric tridiagonal Jacobi matrix (Golub-Welsch, solved
+with numpy.linalg.eigvalsh), sharpened by Newton steps on the Jacobi
+three-term recurrence in double and then extended precision; the weights
+come from the classical closed form evaluated at the polished nodes.
 """
 
 from dataclasses import dataclass
@@ -16,14 +17,19 @@ import math
 import numpy as np
 
 from .errors import DomainError, QuadratureError
+from .gammafn import GAMMA_MAX_ARG
 
-_MAX_NEWTON_ITER = 100
-_NEWTON_TOL = 1e-15
-
-# Smallest integral order for which rule construction is certifiable: the
-# deflated Newton search was swept over n up to 256 and is reliable down to
-# 0.04, with scattered endpoint-cluster failures appearing at 0.03.
+# Smallest integral order for which rule construction is certifiable.  The
+# value was swept for an earlier root finder (reliable down to 0.04 for n up
+# to 256) and not yet re-swept for the eigenvalue construction, which gives
+# the same rules to a few ulps.  At this floor the weight-sum check in
+# build_jacobi_rule passes up to 1024 nodes and fails at 2048.
 MIN_RULE_ALPHA = 0.05
+
+# Largest node count of a rule.  The dense Jacobi matrix takes O(n^2)
+# memory (a few hundred MB at this size), so larger requests are refused
+# up front instead of exhausting memory.
+MAX_RULE_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -45,30 +51,6 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-def _jacobi_eval(n: int, a: float, b: float, x: float) -> tuple[float, float]:
-    """Evaluate (P_n, P_{n-1}) for Jacobi parameters (a, b) at scalar x."""
-    p_prev = 1.0
-    p = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    if n == 0:
-        return 1.0, 0.0
-    for j in range(2, n + 1):
-        two_j = 2.0 * j + a + b
-        c1 = 2.0 * j * (j + a + b) * (two_j - 2.0)
-        c2 = (two_j - 1.0) * (a * a - b * b)
-        c3 = (two_j - 1.0) * two_j * (two_j - 2.0)
-        c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * two_j
-        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
-    return p, p_prev
-
-
-def _jacobi_deriv(n: int, a: float, b: float, x: float, p: float, p_prev: float) -> float:
-    """Derivative of P_n at x from the value pair, valid for x in (-1, 1)."""
-    two_n = 2.0 * n + a + b
-    return (n * (a - b - two_n * x) * p + 2.0 * (n + a) * (n + b) * p_prev) / (
-        two_n * (1.0 - x) * (1.0 + x)
-    )
-
-
 def _jacobi_eval_vec(
     n: int, a: float, b: float, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,13 +58,18 @@ def _jacobi_eval_vec(
     one = x.dtype.type(1.0)
     p_prev = np.ones_like(x)
     p = x.dtype.type(0.5 * (a - b)) + x.dtype.type(0.5 * (a + b + 2.0)) * x
-    for j in range(2, n + 1):
-        two_j = 2.0 * j + a + b
-        c1 = 2.0 * j * (j + a + b) * (two_j - 2.0)
-        c2 = (two_j - 1.0) * (a * a - b * b)
-        c3 = (two_j - 1.0) * two_j * (two_j - 2.0)
-        c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * two_j
-        p, p_prev = ((x.dtype.type(c2) + x.dtype.type(c3) * x) * p - x.dtype.type(c4) * p_prev) / x.dtype.type(c1), p
+    # Recurrence coefficients for j = 2..n, computed in double precision
+    # (elementwise, so bit-identical to scalar evaluation) and then cast.
+    j = np.arange(2, n + 1, dtype=np.float64)
+    two_j = 2.0 * j + a + b
+    coeffs = np.stack((
+        2.0 * j * (j + a + b) * (two_j - 2.0),
+        (two_j - 1.0) * (a * a - b * b),
+        (two_j - 1.0) * two_j * (two_j - 2.0),
+        2.0 * (j + a - 1.0) * (j + b - 1.0) * two_j,
+    )).astype(x.dtype)
+    for c1, c2, c3, c4 in zip(*coeffs):
+        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
     two_n = 2.0 * n + a + b
     dp = (n * (a - b - two_n * x) * p + 2.0 * (n + a) * (n + b) * p_prev) / (
         x.dtype.type(two_n) * (one - x) * (one + x)
@@ -91,54 +78,43 @@ def _jacobi_eval_vec(
 
 
 def _jacobi_roots(n: int, a: float, b: float) -> np.ndarray:
-    """All n roots of P_n^(a,b), ascending, via deflated Newton iteration."""
-    roots: list[float] = []
-    for k in range(n):
-        # Chebyshev-angle guess for the k-th root counted from +1; once two
-        # roots are known, linear extrapolation tracks the drift of the root
-        # distribution under asymmetric (a, b).
-        if k < 2:
-            x = math.cos(math.pi * (k + 0.75) / (n + 0.5))
-        else:
-            x = min(1.0 - 1e-14, max(-1.0 + 1e-14, 2.0 * roots[-1] - roots[-2]))
-        converged = False
-        for _ in range(_MAX_NEWTON_ITER):
-            p, p_prev = _jacobi_eval(n, a, b, x)
-            dp = _jacobi_deriv(n, a, b, x, p, p_prev)
-            # Maehly deflation keeps the iteration away from found roots.
-            defl = sum(1.0 / (x - r) for r in roots)
-            denom = dp - p * defl
-            if denom == 0.0:
-                x *= 1.0 - 1e-12
-                continue
-            step = p / denom
-            # keep iterates inside the open interval
-            while not (-1.0 < x - step < 1.0):
-                if not math.isfinite(step):
-                    raise QuadratureError(
-                        f"Jacobi recurrence of degree {n} (params {a:g},{b:g}) overflowed"
-                    )
-                step *= 0.5
-            x -= step
-            if abs(step) <= _NEWTON_TOL:
-                converged = True
-                break
-        if not converged:
-            raise QuadratureError(
-                f"Jacobi root {k} of degree {n} (params {a:g},{b:g}) did not "
-                f"converge within {_MAX_NEWTON_ITER} Newton iterations"
-            )
-        roots.append(x)
-    # Two undeflated polish steps remove any bias the deflation term left.
-    for i, x in enumerate(roots):
+    """All n roots of P_n^(a,b), ascending: the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
+    sharpened by two Newton steps on the three-term recurrence."""
+    ab = a + b
+    k = np.arange(n, dtype=np.float64)
+    two_k = 2.0 * k + ab
+    with np.errstate(all="ignore"):
+        diag = (b * b - a * a) / (two_k * (two_k + 2.0))
+        diag[0] = (b - a) / (ab + 2.0)
+        k, two_k = k[1:], two_k[1:]
+        sub = np.sqrt(
+            4.0 * k * (k + a) * (k + b) * (k + ab)
+            / (two_k * two_k * (two_k + 1.0) * (two_k - 1.0))
+        )
+        if n > 1:
+            # The general entry is 0/0 at k = 1 when a + b = -1.
+            sub[0] = np.sqrt(4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + ab) * (2.0 + ab) * (3.0 + ab)))
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(sub))):
+        raise QuadratureError(
+            f"Jacobi matrix of degree {n} (params {a:g},{b:g}) is not finite"
+        )
+    jac = np.zeros((n, n))
+    i = np.arange(n)
+    jac[i, i] = diag
+    jac[i[1:], i[:-1]] = sub  # eigvalsh reads only the lower triangle
+    try:
+        x = np.linalg.eigvalsh(jac)
+    except np.linalg.LinAlgError as exc:
+        raise QuadratureError(
+            f"Jacobi eigenvalues of degree {n} (params {a:g},{b:g}) failed: {exc}"
+        ) from None
+    with np.errstate(all="ignore"):
         for _ in range(2):
-            p, p_prev = _jacobi_eval(n, a, b, x)
-            dp = _jacobi_deriv(n, a, b, x, p, p_prev)
-            if dp != 0.0:
-                x -= p / dp
-        roots[i] = x
-    out = np.sort(np.asarray(roots))
-    if len(np.unique(out)) != n or out[0] <= -1.0 or out[-1] >= 1.0:
+            p, _, dp = _jacobi_eval_vec(n, a, b, x)
+            x = x - p / dp
+    out = np.sort(x)
+    if len(np.unique(out)) != n or not (-1.0 < out[0] and out[-1] < 1.0):
         raise QuadratureError(
             f"Jacobi root search for degree {n} (params {a:g},{b:g}) produced "
             "duplicate or out-of-range roots"
@@ -154,8 +130,8 @@ def jacobi_rule_01(n: int, zero_exponent: float, one_exponent: float = 0.0):
     polynomial integrands of degree <= 2n-1 against that weight.  Results are
     cached; both arrays are read-only.
     """
-    if n < 1:
-        raise DomainError(f"need at least one node, got n={n}")
+    if not 1 <= n <= MAX_RULE_NODES:
+        raise DomainError(f"need 1 to {MAX_RULE_NODES} nodes, got n={n}")
     if not (math.isfinite(zero_exponent) and math.isfinite(one_exponent)):
         raise DomainError("endpoint exponents must be finite")
     if zero_exponent <= -1.0 or one_exponent <= -1.0:
@@ -207,11 +183,12 @@ def build_jacobi_rule(alpha: float, n: int) -> QuadratureRule:
     Exact for polynomial integrands of degree <= 2n-1.  The rule depends only
     on (alpha, n), so it is cached and shared; instances are immutable.
     """
-    if not alpha >= MIN_RULE_ALPHA:
-        # Below this the endpoint clustering defeats the root finder even in
-        # extended precision; rule quality is not certifiable.
+    if not MIN_RULE_ALPHA <= alpha <= GAMMA_MAX_ARG:
+        # Below the floor the endpoint clustering makes rule quality not
+        # certifiable; above the ceiling Gamma(alpha), which every operator
+        # needs alongside the rule, overflows.
         raise DomainError(
-            f"order alpha must be >= {MIN_RULE_ALPHA:g}, got {alpha!r}"
+            f"order alpha must lie in [{MIN_RULE_ALPHA:g}, {GAMMA_MAX_ARG:g}], got {alpha!r}"
         )
     if n < 2:
         raise DomainError(f"need at least two nodes, got n={n}")

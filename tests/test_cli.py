@@ -203,6 +203,20 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "integrate", "1", "1.0", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])
+    def test_bad_fuzz_tolerance_is_two(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, f"--rel-tol={tol}", "--seed", "1", "fuzz", "--theorem", "T31", "--trials", "3"
+        )
+        assert code == 2
+        assert "rel_tol" in err
+        assert "passes" not in out
+
+    def test_too_many_nodes_is_two(self, capsys):
+        code, _, err = run_cli(capsys, "--nodes", "1000000", "integrate", "1", "0.5", "2")
+        assert code == 2
+        assert "nodes" in err
+
     def test_argparse_usage_error_is_two(self):
         with pytest.raises(SystemExit) as info:
             main(["integrate", "1"])

@@ -175,6 +175,12 @@ class TestConfigValidation:
             {"alpha_range": (0.5, math.inf)},
             {"beta_range": (0.5, math.nan)},
             {"nodes": 1},
+            {"trials": True},
+            {"rel_tol": math.inf},
+            {"rel_tol": math.nan},
+            {"rel_tol": -1e-9},
+            {"abs_tol": math.inf},
+            {"abs_tol": -1.0},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import roots_jacobi
 
 from hadafrac.errors import DomainError, QuadratureError
+from hadafrac.gammafn import GAMMA_MAX_ARG
 from hadafrac.jacobi import (
+    MAX_RULE_NODES,
     MIN_RULE_ALPHA,
     QuadratureRule,
     build_jacobi_rule,
@@ -60,6 +62,36 @@ def test_monomial_moments(zero_exponent, one_exponent):
         expect = beta_moment(k, zero_exponent, one_exponent)
         got = float(np.sum(w * s**k))
         assert abs(got - expect) <= 5e-13 * expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+def test_chebyshev_closed_form(n):
+    # a + b = -1 makes the general Jacobi-matrix entry at k = 1 a 0/0.
+    s, w = jacobi_rule_01(n, -0.5, -0.5)
+    k = np.arange(n, 0, -1)
+    s_ref = 0.5 * (1.0 + np.cos((2 * k - 1) * math.pi / (2 * n)))
+    assert np.max(np.abs(s - s_ref)) < 1e-15
+    assert np.max(np.abs(w - math.pi / n)) < 1e-13 * math.pi / n
+
+
+def test_exponents_summing_to_minus_one():
+    n, zero_exponent, one_exponent = 8, -0.9, -0.1
+    s, w = jacobi_rule_01(n, zero_exponent, one_exponent)
+    assert np.all(w > 0.0)
+    for k in range(2 * n):
+        expect = beta_moment(k, zero_exponent, one_exponent)
+        got = float(np.sum(w * s**k))
+        assert abs(got - expect) <= 1e-13 * expect
+
+
+@pytest.mark.parametrize("alpha", [MIN_RULE_ALPHA, 2.5])
+def test_large_rule_moments(alpha):
+    n = 1024
+    rule = build_jacobi_rule(alpha, n)
+    # k = 0, the mass, is the construction's own weight-sum check.
+    for k in (1, 2, 5, 10, 50, 200, 1000, 2 * n - 1):
+        got = float(np.sum(rule.weights * rule.nodes**k))
+        assert abs(got - 1.0 / (alpha + k)) <= 1e-13 / (alpha + k)
 
 
 def test_polynomial_exactness_at_degree_boundary():
@@ -127,11 +159,22 @@ def test_spectral_convergence_on_smooth_integrand():
 @pytest.mark.parametrize(
     "alpha,n",
     [(MIN_RULE_ALPHA / 2.0, 16), (0.0, 16), (-1.0, 16), (0.5, 1), (0.5, 0),
-     (math.inf, 16)],
+     (math.inf, 16), (1e5, 64), (GAMMA_MAX_ARG + 1.0, 16),
+     (0.5, MAX_RULE_NODES + 1), (0.5, 10**6)],
 )
 def test_rejects_out_of_domain(alpha, n):
     with pytest.raises(DomainError):
         build_jacobi_rule(alpha, n)
+
+
+def test_rejects_too_many_nodes():
+    with pytest.raises(DomainError):
+        jacobi_rule_01(MAX_RULE_NODES + 1, -0.5)
+
+
+def test_overflowing_exponent_is_a_quadrature_error():
+    with pytest.raises(QuadratureError):
+        jacobi_rule_01(8, 1e300)
 
 
 def test_rejects_nonintegrable_exponents():
