@@ -15,8 +15,8 @@ global generator state exists, so trials can be reproduced in isolation
 and executed in any order.
 
 Clipping can kink a trial function.  Kinked trials are flagged on the
-trial result and judged at the relaxed relative tolerance 1e-7; smooth
-trials use the configured tolerance (default 1e-9).
+trial result and judged at the relative tolerance max(rel_tol, 1e-7), so
+never more strictly than smooth trials, which use rel_tol (default 1e-9).
 """
 
 import math
@@ -28,13 +28,13 @@ import numpy as np
 from . import inequalities
 from .errors import DomainError
 from .inequalities import (
-    ABS_TOL,
     REL_TOL,
     BoundingQuadruple,
     ConstantBounds,
     HolderPair,
     InequalityReport,
     TheoremId,
+    _check_rel_tol,
 )
 from .randfuncs import ConstantFunction, random_bounded_function
 
@@ -64,16 +64,12 @@ class FuzzConfig:
     t_range: tuple = (1.25, 15.0)
     nodes: int = 64
     rel_tol: float = REL_TOL
-    abs_tol: float = ABS_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "theorem_id", TheoremId(self.theorem_id))
         if isinstance(self.trials, bool) or self.trials < 1:
             raise DomainError(f"trials must be an integer of at least 1, got {self.trials!r}")
-        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
-            # An infinite or NaN tolerance would pass every trial vacuously.
-            if not (0.0 <= tol < math.inf):
-                raise DomainError(f"{name} must be finite and >= 0, got {tol!r}")
+        _check_rel_tol(self.rel_tol)
         for name, rng in (("alpha_range", self.alpha_range), ("beta_range", self.beta_range)):
             lo, hi = rng
             if not (MIN_FUZZ_ORDER <= lo <= hi < math.inf):
@@ -192,12 +188,14 @@ _TRIALS = {
 
 def run_trial(theorem_id, seed, *, alpha_range=(MIN_FUZZ_ORDER, 2.5),
               beta_range=(MIN_FUZZ_ORDER, 2.5), t_range=(1.25, 15.0),
-              nodes=64, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+              nodes=64, rel_tol=REL_TOL):
     """Run the single fuzz trial identified by (theorem_id, seed).
 
     Fully reproducible: the seed determines every draw, so a CSV row's
     seed column reruns its trial in isolation.  Returns (report, kinked).
+    A kinked trial is judged at max(rel_tol, KINKED_REL_TOL).
     """
+    _check_rel_tol(rel_tol)
     check, family, order_count = _TRIALS[TheoremId(theorem_id)]
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
     alpha = _draw_order(rng, alpha_range)
@@ -218,8 +216,8 @@ def run_trial(theorem_id, seed, *, alpha_range=(MIN_FUZZ_ORDER, 2.5),
     kinked = any(getattr(f, "clipped", False) for f in (x_fn, y_fn))
     report = getattr(inequalities, check)(
         x_fn, y_fn, *hypothesis, *(alpha, beta)[:order_count], t,
-        nodes=nodes, rel_tol=KINKED_REL_TOL if kinked else rel_tol,
-        abs_tol=abs_tol, seed=int(seed),
+        nodes=nodes, rel_tol=max(rel_tol, KINKED_REL_TOL) if kinked else rel_tol,
+        seed=int(seed),
     )
     return report, kinked
 
@@ -247,7 +245,6 @@ def run_fuzz(config, csv_file=None):
             t_range=config.t_range,
             nodes=config.nodes,
             rel_tol=config.rel_tol,
-            abs_tol=config.abs_tol,
         )
         result = TrialResult(index=index, report=report, kinked=kinked)
         results.append(result)

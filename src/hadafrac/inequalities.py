@@ -17,7 +17,7 @@ and the command line:
 
 Every inequality here is a proven theorem, so a failed check indicates a
 numerical or transcription bug, never new mathematics.  The tolerance
-policy (pass iff lhs <= bound * (1 + rel_tol) + abs_tol) absorbs only
+policy (pass iff lhs <= bound * (1 + rel_tol) + ABS_TOL) absorbs only
 round-off.
 
 Every check runs on the positive discrete measure that the Gauss-Jacobi
@@ -33,6 +33,7 @@ offending point.
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,7 +120,7 @@ class HolderPair:
 class InequalityReport:
     """Outcome of one inequality check.
 
-    `passed` is lhs <= bound * (1 + rel_tol) + abs_tol; `ratio` is
+    `passed` is lhs <= bound * (1 + rel_tol) + ABS_TOL; `ratio` is
     lhs / bound (infinite only when bound = 0 < lhs) and `margin` is
     bound - lhs.  `params` records alpha, beta, t, p, q as applicable,
     plus check-specific extras; `seed` is set for fuzzed trials.
@@ -135,7 +136,14 @@ class InequalityReport:
     seed: int | None = None
 
 
-def _report(theorem_id, lhs, bound, params, seed, rel_tol, abs_tol):
+def _check_rel_tol(rel_tol):
+    # An infinite or NaN tolerance would pass every check vacuously.
+    if not (isinstance(rel_tol, numbers.Real) and 0.0 <= rel_tol < math.inf):
+        raise DomainError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
+
+
+def _report(theorem_id, lhs, bound, params, seed, rel_tol):
+    _check_rel_tol(rel_tol)
     lhs = float(lhs)
     bound = float(bound)
     if not (math.isfinite(lhs) and math.isfinite(bound)):
@@ -152,7 +160,7 @@ def _report(theorem_id, lhs, bound, params, seed, rel_tol, abs_tol):
         bound=bound,
         ratio=ratio,
         margin=bound - lhs,
-        passed=bool(lhs <= bound * (1.0 + rel_tol) + abs_tol),
+        passed=bool(lhs <= bound * (1.0 + rel_tol) + ABS_TOL),
         params=params,
         seed=seed,
     )
@@ -175,10 +183,10 @@ def _finite(check):
     return checked
 
 
-def _sample(orders, t, nodes, samples, *fns):
+def _sample(orders, t, nodes, *fns):
     """Measures of the given orders at t, and each of `fns` evaluated once.
 
-    The sample points are a geometric grid of `samples` points on [1, t]
+    The sample points are a geometric grid of ENVELOPE_SAMPLES points on [1, t]
     plus every node of every measure.  Returns (tau, integrals, values,
     params): tau holds the sorted distinct sample points, values[j] is
     fns[j] at tau, integrals[k] maps an array of values at tau to its
@@ -187,7 +195,7 @@ def _sample(orders, t, nodes, samples, *fns):
     """
     measures = [Measure(order, t, nodes) for order in orders]
     t = measures[0].t
-    grid = t ** np.linspace(0.0, 1.0, samples)
+    grid = t ** np.linspace(0.0, 1.0, ENVELOPE_SAMPLES)
     tau, where = np.unique(
         np.concatenate([grid, *(m.tau for m in measures)]), return_inverse=True
     )
@@ -265,77 +273,39 @@ def verify_envelope(f, lo, hi, t, samples=ENVELOPE_SAMPLES, extra_tau=None):
 
 
 @_finite
-def polya_szego_single(
-    x,
-    y,
-    env,
-    alpha,
-    t,
-    *,
-    nodes=64,
-    rel_tol=REL_TOL,
-    abs_tol=ABS_TOL,
-    samples=ENVELOPE_SAMPLES,
-    seed=None,
-):
+def polya_szego_single(x, y, env, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
     """One-order Polya-Szego type check (T31).
 
     lhs   = I^a{v1 v2 x^2}(t) * I^a{u1 u2 y^2}(t)
     bound = (1/4) * (I^a{(v1 u1 + v2 u2) x y}(t))^2
     """
     tau, (ia,), (xv, yv, u1, u2, v1, v2), params = _sample(
-        (alpha,), t, nodes, samples, x, y, env.u1, env.u2, env.v1, env.v2
+        (alpha,), t, nodes, x, y, env.u1, env.u2, env.v1, env.v2
     )
     _require_bands(tau, xv, yv, u1, u2, v1, v2)
     lhs = ia(v1 * v2 * xv**2) * ia(u1 * u2 * yv**2)
     bound = 0.25 * ia((v1 * u1 + v2 * u2) * xv * yv) ** 2
-    return _report(TheoremId.T31, lhs, bound, params, seed, rel_tol, abs_tol)
+    return _report(TheoremId.T31, lhs, bound, params, seed, rel_tol)
 
 
 @_finite
-def polya_szego_double(
-    x,
-    y,
-    env,
-    alpha,
-    beta,
-    t,
-    *,
-    nodes=64,
-    rel_tol=REL_TOL,
-    abs_tol=ABS_TOL,
-    samples=ENVELOPE_SAMPLES,
-    seed=None,
-):
+def polya_szego_double(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
     """Two-order Polya-Szego type check (T32).
 
     lhs   = I^a{u1 u2}(t) I^b{v1 v2}(t) I^a{x^2}(t) I^b{y^2}(t)
     bound = (1/4) * (I^a{u1 x}(t) I^b{v1 y}(t) + I^a{u2 x}(t) I^b{v2 y}(t))^2
     """
     tau, (ia, ib), (xv, yv, u1, u2, v1, v2), params = _sample(
-        (alpha, beta), t, nodes, samples, x, y, env.u1, env.u2, env.v1, env.v2
+        (alpha, beta), t, nodes, x, y, env.u1, env.u2, env.v1, env.v2
     )
     _require_bands(tau, xv, yv, u1, u2, v1, v2)
     lhs = ia(u1 * u2) * ib(v1 * v2) * ia(xv**2) * ib(yv**2)
     cross = ia(u1 * xv) * ib(v1 * yv) + ia(u2 * xv) * ib(v2 * yv)
-    return _report(TheoremId.T32, lhs, 0.25 * cross**2, params, seed, rel_tol, abs_tol)
+    return _report(TheoremId.T32, lhs, 0.25 * cross**2, params, seed, rel_tol)
 
 
 @_finite
-def product_bound(
-    x,
-    y,
-    env,
-    alpha,
-    beta,
-    t,
-    *,
-    nodes=64,
-    rel_tol=REL_TOL,
-    abs_tol=ABS_TOL,
-    samples=ENVELOPE_SAMPLES,
-    seed=None,
-):
+def product_bound(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
     """Envelope-ratio product check (T33).
 
     lhs   = I^a{x^2}(t) * I^b{y^2}(t)
@@ -345,12 +315,12 @@ def product_bound(
     divisions are safe once the precondition check passes.
     """
     tau, (ia, ib), (xv, yv, u1, u2, v1, v2), params = _sample(
-        (alpha, beta), t, nodes, samples, x, y, env.u1, env.u2, env.v1, env.v2
+        (alpha, beta), t, nodes, x, y, env.u1, env.u2, env.v1, env.v2
     )
     _require_bands(tau, xv, yv, u1, u2, v1, v2)
     lhs = ia(xv**2) * ib(yv**2)
     bound = ia(u2 * xv * yv / v1) * ib(v2 * xv * yv / u1)
-    return _report(TheoremId.T33, lhs, bound, params, seed, rel_tol, abs_tol)
+    return _report(TheoremId.T33, lhs, bound, params, seed, rel_tol)
 
 
 def _constant_ps_bound(cb):
@@ -361,47 +331,21 @@ def _constant_ps_bound(cb):
 
 
 @_finite
-def constant_polya_szego(
-    x,
-    y,
-    cb,
-    alpha,
-    t,
-    *,
-    nodes=64,
-    rel_tol=REL_TOL,
-    abs_tol=ABS_TOL,
-    samples=ENVELOPE_SAMPLES,
-    seed=None,
-):
+def constant_polya_szego(x, y, cb, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
     """Constant-envelope Polya-Szego ratio check (P31).
 
     lhs   = I^a{x^2}(t) I^a{y^2}(t) / (I^a{x y}(t))^2
     bound = (1/4) * (sqrt(m n / (M N)) + sqrt(M N / (m n)))^2
     """
-    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, samples, x, y)
+    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
     lhs = _quotient(ia(xv**2) * ia(yv**2), ia(xv * yv) ** 2)
-    return _report(
-        TheoremId.P31, lhs, _constant_ps_bound(cb), params, seed, rel_tol, abs_tol
-    )
+    return _report(TheoremId.P31, lhs, _constant_ps_bound(cb), params, seed, rel_tol)
 
 
 @_finite
-def constant_polya_szego_two_order(
-    x,
-    y,
-    cb,
-    alpha,
-    beta,
-    t,
-    *,
-    nodes=64,
-    rel_tol=REL_TOL,
-    abs_tol=ABS_TOL,
-    samples=ENVELOPE_SAMPLES,
-    seed=None,
-):
+def constant_polya_szego_two_order(x, y, cb, alpha, beta, t, *,
+                                   nodes=64, rel_tol=REL_TOL, seed=None):
     """Two-order constant-envelope ratio check (P32).
 
     lhs   = prefactor * I^a{x^2}(t) I^b{y^2}(t) / (I^a{x}(t) I^b{y}(t))^2
@@ -411,59 +355,30 @@ def constant_polya_szego_two_order(
     I^a{1}(t) * I^b{1}(t) through the power rule; the two agree to
     round-off, which a unit test pins down.
     """
-    tau, (ia, ib), (xv, yv), params = _sample((alpha, beta), t, nodes, samples, x, y)
+    tau, (ia, ib), (xv, yv), params = _sample((alpha, beta), t, nodes, x, y)
     _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
     prefactor = power_rule_integral(1.0, alpha, t) * power_rule_integral(1.0, beta, t)
     lhs = _quotient(prefactor * ia(xv**2) * ib(yv**2), (ia(xv) * ib(yv)) ** 2)
-    return _report(
-        TheoremId.P32, lhs, _constant_ps_bound(cb), params, seed, rel_tol, abs_tol
-    )
+    return _report(TheoremId.P32, lhs, _constant_ps_bound(cb), params, seed, rel_tol)
 
 
 @_finite
-def ratio_bound_constant(
-    x,
-    y,
-    cb,
-    alpha,
-    beta,
-    t,
-    *,
-    nodes=64,
-    rel_tol=REL_TOL,
-    abs_tol=ABS_TOL,
-    samples=ENVELOPE_SAMPLES,
-    seed=None,
-):
+def ratio_bound_constant(x, y, cb, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
     """Constant-envelope product comparison across two orders (P33).
 
     lhs   = I^a{x^2}(t) * I^b{y^2}(t)
     bound = (M N / (m n)) * I^a{x y}(t) * I^b{x y}(t)
     """
-    tau, (ia, ib), (xv, yv), params = _sample((alpha, beta), t, nodes, samples, x, y)
+    tau, (ia, ib), (xv, yv), params = _sample((alpha, beta), t, nodes, x, y)
     _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
     lhs = ia(xv**2) * ib(yv**2)
     factor = (cb.M * cb.N_hi) / (cb.m * cb.n_lo)
     bound = factor * ia(xv * yv) * ib(xv * yv)
-    return _report(TheoremId.P33, lhs, bound, params, seed, rel_tol, abs_tol)
+    return _report(TheoremId.P33, lhs, bound, params, seed, rel_tol)
 
 
 @_finite
-def minkowsky_related(
-    x,
-    y,
-    hp,
-    m,
-    M,
-    alpha,
-    t,
-    *,
-    nodes=64,
-    rel_tol=REL_TOL,
-    abs_tol=ABS_TOL,
-    samples=ENVELOPE_SAMPLES,
-    seed=None,
-):
+def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
     """Minkowski-type check via a Young splitting (T34).
 
     Requires 0 < m < x/y < M pointwise, with M finite.  Then
@@ -484,7 +399,7 @@ def minkowsky_related(
     M = float(M)
     if not (0.0 < m < M < math.inf):
         raise DomainError(f"need 0 < m < M < inf, got m={m:g}, M={M:g}")
-    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, samples, x, y)
+    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require(tau, "y", (yv > 0.0, "function is not strictly positive"))
     ratio = xv / yv
     _require(tau, "x/y", ((m < ratio) & (ratio < M), f"leaves the open interval ({m:g}, {M:g})"))
@@ -496,52 +411,28 @@ def minkowsky_related(
         1.0 / (m + 1.0)
     ) ** q * ia((xv + yv) ** q)
     params.update(p=p, q=q, m=m, M=M, young_mid=mid)
-    return _report(TheoremId.T34, ia(xv * yv), bound, params, seed, rel_tol, abs_tol)
+    return _report(TheoremId.T34, ia(xv * yv), bound, params, seed, rel_tol)
 
 
 @_finite
-def young_pointwise_check(
-    x,
-    y,
-    hp,
-    alpha,
-    t,
-    *,
-    nodes=64,
-    rel_tol=REL_TOL,
-    abs_tol=ABS_TOL,
-    samples=ENVELOPE_SAMPLES,
-    seed=None,
-):
+def young_pointwise_check(x, y, hp, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
     """Young product check (YOUNG): I^a{x y} <= I^a{x^p}/p + I^a{y^q}/q."""
-    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, samples, x, y)
+    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require_signs(tau, xv, yv)
     p, q = hp.p, hp.q
     bound = (1.0 / p) * ia(xv**p) + (1.0 / q) * ia(yv**q)
     params.update(p=p, q=q)
-    return _report(TheoremId.YOUNG, ia(xv * yv), bound, params, seed, rel_tol, abs_tol)
+    return _report(TheoremId.YOUNG, ia(xv * yv), bound, params, seed, rel_tol)
 
 
 @_finite
-def power_mean_check(
-    x,
-    y,
-    r,
-    alpha,
-    t,
-    *,
-    nodes=64,
-    rel_tol=REL_TOL,
-    abs_tol=ABS_TOL,
-    samples=ENVELOPE_SAMPLES,
-    seed=None,
-):
+def power_mean_check(x, y, r, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
     """Power-mean check (POWMEAN): I^a{(x+y)^r} <= 2^(r-1) I^a{x^r + y^r}."""
     r = float(r)
     if not 1.0 < r < math.inf:
         raise DomainError(f"need finite r > 1, got {r:g}")
-    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, samples, x, y)
+    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require_signs(tau, xv, yv)
     bound = 2.0 ** (r - 1.0) * ia(xv**r + yv**r)
     params["r"] = r
-    return _report(TheoremId.POWMEAN, ia((xv + yv) ** r), bound, params, seed, rel_tol, abs_tol)
+    return _report(TheoremId.POWMEAN, ia((xv + yv) ** r), bound, params, seed, rel_tol)

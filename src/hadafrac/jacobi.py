@@ -44,7 +44,6 @@ class QuadratureRule:
     alpha: float
     nodes: np.ndarray
     weights: np.ndarray
-    count: int
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -203,7 +202,7 @@ def build_jacobi_rule(alpha: float, n: int) -> QuadratureRule:
     tol = (1e-12 + 5e4 * n * eps_ld / min(alpha, 1.0)) / alpha
     if abs(total - 1.0 / alpha) > tol:
         raise QuadratureError(
-            f"weight sum {total!r} deviates from 1/alpha={1.0 / alpha!r} "
+            f"weight sum {float(total)!r} deviates from 1/alpha={1.0 / alpha!r} "
             f"by more than {tol:g} for alpha={alpha:g}, n={n}"
         )
-    return QuadratureRule(alpha=float(alpha), nodes=s, weights=w, count=n)
+    return QuadratureRule(alpha=float(alpha), nodes=s, weights=w)

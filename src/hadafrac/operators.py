@@ -96,18 +96,16 @@ class Measure:
         tau_i = t^(1 - s_i),  prefactor = (ln t)^alpha / Gamma(alpha).
 
     Every weight is positive, so an inequality between integrands that holds
-    at the points tau_i also holds between their integrals.  A prebuilt
-    `rule` of order alpha replaces the cached n-node rule.
+    at the points tau_i also holds between their integrals.
     """
 
-    __slots__ = ("t", "tau", "weights", "prefactor")
+    __slots__ = ("alpha", "t", "tau", "weights", "prefactor")
 
-    def __init__(self, alpha, t, n, rule=None):
+    def __init__(self, alpha, t, n):
         t = _check_t(t)
         alpha = _as_float("alpha", alpha)
-        if rule is None:
-            rule = build_jacobi_rule(alpha, int(n))
-        self.t = t
+        rule = build_jacobi_rule(alpha, int(n))
+        self.alpha, self.t = alpha, t
         try:
             self.prefactor = math.log(t) ** alpha / gamma(alpha)
         except OverflowError as exc:
@@ -121,7 +119,7 @@ class Measure:
     def with_rule(self, nodes, weights):
         """The same prefactor on another rule for the weight s^(alpha-1)."""
         other = object.__new__(Measure)
-        other.t, other.prefactor = self.t, self.prefactor
+        other.alpha, other.t, other.prefactor = self.alpha, self.t, self.prefactor
         other._place(nodes, weights)
         return other
 
@@ -133,42 +131,28 @@ class Measure:
         return value
 
 
-def hadamard_integral(f, alpha, t, rule=None, nodes=64, estimate_error=True,
-                      endpoint_exponent=0.0):
+def hadamard_integral(f, alpha, t, nodes=64, estimate_error=True, endpoint_exponent=0.0):
     """Fractional integral of order alpha at t, by Gauss-Jacobi quadrature.
 
     f must accept a numpy array of points in [1, t] (scalars also work, at a
-    per-point call cost).  A prebuilt rule may be supplied; it must match
-    alpha.  Returns an OperatorResult.  With estimate_error the rule is
-    doubled once and the difference reported; spectral convergence makes that
-    a reliable bound for smooth f.
+    per-point call cost).  Returns an OperatorResult.  With estimate_error
+    the rule is doubled once and the difference reported; spectral
+    convergence makes that a reliable bound for smooth f.
 
     When f is known to behave like (ln tau)^g times a smooth function as
     tau -> 1, passing endpoint_exponent=g absorbs that algebraic factor into
     the quadrature weight, restoring spectral accuracy that a plain rule
     loses for non-integer g.
     """
-    t = _check_t(t)
-    alpha = _as_float("alpha", alpha)
     gam = _as_float("endpoint_exponent", endpoint_exponent)
     if gam <= -1.0:
         raise DomainError(
             f"endpoint exponent must exceed -1 for integrability, got {gam:g}"
         )
-    if rule is not None:
-        if gam != 0.0:
-            raise DomainError("pass either a prebuilt rule or an endpoint exponent")
-        if rule.alpha != alpha:
-            raise DomainError(
-                f"rule was built for order {rule.alpha:g}, not {alpha:g}"
-            )
-        count = rule.count
-    else:
-        count = int(nodes)
-        rule = build_jacobi_rule(alpha, count)  # validates (alpha, n) up front
-    if t == 1.0:
+    measure = Measure(alpha, t, nodes)
+    alpha, count = measure.alpha, measure.weights.size
+    if measure.t == 1.0:
         return OperatorResult(value=0.0, estimated_error=0.0, nodes_used=count)
-    measure = Measure(alpha, t, count, rule)
 
     def apply(n):
         if gam != 0.0:
@@ -279,12 +263,11 @@ def power_rule_derivative(beta, alpha, t):
     return gamma(beta) / gamma(beta - alpha) * math.log(t) ** exponent
 
 
-def hadamard_derivative(f, alpha, t, rule=None, nodes=64):
+def hadamard_derivative(f, alpha, t, nodes=64):
     """Fractional derivative of order 0 < alpha < 1 at t > 1.
 
     Computed as t * d/dt of the complementary integral of order 1 - alpha,
-    with a central difference in t.  A prebuilt rule, if supplied, must be
-    for the complementary order.  A spread between the one-sided slopes
+    with a central difference in t.  A spread between the one-sided slopes
     beyond 0.1% raises RoughnessWarning, signalling that f is not smooth
     enough near t for the step size in use.
     """
@@ -302,17 +285,12 @@ def hadamard_derivative(f, alpha, t, rule=None, nodes=64):
     t = _check_t(t)
     if t == 1.0:
         raise DomainError("derivative needs t > 1")
-    if rule is None:
-        rule = build_jacobi_rule(1.0 - alpha, int(nodes))
-    elif rule.alpha != 1.0 - alpha:
-        raise DomainError(
-            f"rule was built for order {rule.alpha:g}; the derivative of "
-            f"order {alpha:g} needs the complementary order {1.0 - alpha:g}"
-        )
+    count = int(nodes)
     h = min(_FD_REL_STEP * t, 0.25 * (t - 1.0))
 
     def anti(point):
-        return hadamard_integral(f, 1.0 - alpha, point, rule=rule, estimate_error=False).value
+        measure = Measure(1.0 - alpha, point, count)
+        return measure.integral(_eval_on(f, measure.tau))
 
     upper = anti(t + h)
     lower = anti(t - h)
@@ -333,7 +311,7 @@ def hadamard_derivative(f, alpha, t, rule=None, nodes=64):
         )
     value = t * central_slope
     err = t * abs(forward - backward) / 2.0
-    return OperatorResult(value=value, estimated_error=err, nodes_used=rule.count)
+    return OperatorResult(value=value, estimated_error=err, nodes_used=count)
 
 
 def semigroup_residual(f, alpha, beta, t, n=64):

@@ -1,13 +1,16 @@
 """Tests for the fuzzing harness: determinism, CSV schema, soundness."""
 
+import inspect
 import io
 import math
 
 import pytest
 
+from hadafrac import fuzzing, inequalities
 from hadafrac.errors import DomainError
 from hadafrac.fuzzing import (
     CSV_HEADER,
+    KINKED_REL_TOL,
     FuzzConfig,
     RunSummary,
     TrialResult,
@@ -179,8 +182,6 @@ class TestConfigValidation:
             {"rel_tol": math.inf},
             {"rel_tol": math.nan},
             {"rel_tol": -1e-9},
-            {"abs_tol": math.inf},
-            {"abs_tol": -1.0},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -197,3 +198,49 @@ class TestConfigValidation:
         assert isinstance(results[0], TrialResult)
         with pytest.raises(AttributeError):
             results[0].kinked = True
+
+
+# Trial seeds of T31 whose functions are smooth and kinked (clipped).
+SMOOTH_T31_SEED = 0
+KINKED_T31_SEED = 2
+
+
+class TestTrialTolerance:
+    @pytest.mark.parametrize("seed", [SMOOTH_T31_SEED, KINKED_T31_SEED])
+    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, -1e-9, "1e-9", None])
+    def test_bad_rel_tol_rejected(self, rel_tol, seed):
+        with pytest.raises(DomainError):
+            run_trial(TheoremId.T31, seed, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize(
+        "seed, rel_tol, judged_at",
+        [
+            (SMOOTH_T31_SEED, 1e-5, 1e-5),
+            (KINKED_T31_SEED, 1e-5, 1e-5),
+            (KINKED_T31_SEED, 1e-9, KINKED_REL_TOL),
+            (SMOOTH_T31_SEED, 1e-9, 1e-9),
+        ],
+    )
+    def test_kinked_trials_are_never_judged_more_strictly(
+        self, monkeypatch, seed, rel_tol, judged_at
+    ):
+        # The fuzzer looks each check up by name at call time, so a spy
+        # bound to that name sees the tolerance it passes.
+        seen = []
+        check = inequalities.polya_szego_single
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["rel_tol"])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(inequalities, "polya_szego_single", spy)
+        _, kinked = run_trial(TheoremId.T31, seed, rel_tol=rel_tol)
+        assert kinked == (seed == KINKED_T31_SEED)
+        assert seen == [judged_at]
+
+
+def test_checks_take_exactly_the_options_run_trial_passes():
+    for name, _family, _orders in fuzzing._TRIALS.values():
+        parameters = inspect.signature(getattr(inequalities, name)).parameters.values()
+        options = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
+        assert options == {"nodes", "rel_tol", "seed"}, name

@@ -19,6 +19,7 @@ from hadafrac.inequalities import (
     ConstantBounds,
     HolderPair,
     InequalityReport,
+    REL_TOL,
     TheoremId,
     constant_polya_szego,
     constant_polya_szego_two_order,
@@ -507,25 +508,35 @@ LEVELS = st.one_of(st.floats(0.1, 5.0), st.sampled_from(EXTREMES + [0.0]))
 EXPONENTS = st.one_of(st.floats(1.01, 8.0), st.sampled_from(EXTREMES))
 
 
-def _call_check(theorem, x, y, lo, hi, alpha, beta, t, p):
+def _call_check(theorem, x, y, lo, hi, alpha, beta, t, p, rel_tol=REL_TOL):
     band = BoundingQuadruple(*map(ConstantFunction, (lo, hi, lo, hi)))
+    kw = dict(nodes=16, rel_tol=rel_tol)
     calls = {
-        TheoremId.T31: lambda: polya_szego_single(x, y, band, alpha, t, nodes=16),
-        TheoremId.T32: lambda: polya_szego_double(x, y, band, alpha, beta, t, nodes=16),
-        TheoremId.T33: lambda: product_bound(x, y, band, alpha, beta, t, nodes=16),
+        TheoremId.T31: lambda: polya_szego_single(x, y, band, alpha, t, **kw),
+        TheoremId.T32: lambda: polya_szego_double(x, y, band, alpha, beta, t, **kw),
+        TheoremId.T33: lambda: product_bound(x, y, band, alpha, beta, t, **kw),
         TheoremId.P31: lambda: constant_polya_szego(
-            x, y, ConstantBounds(lo, hi, lo, hi), alpha, t, nodes=16),
+            x, y, ConstantBounds(lo, hi, lo, hi), alpha, t, **kw),
         TheoremId.P32: lambda: constant_polya_szego_two_order(
-            x, y, ConstantBounds(lo, hi, lo, hi), alpha, beta, t, nodes=16),
+            x, y, ConstantBounds(lo, hi, lo, hi), alpha, beta, t, **kw),
         TheoremId.P33: lambda: ratio_bound_constant(
-            x, y, ConstantBounds(lo, hi, lo, hi), alpha, beta, t, nodes=16),
+            x, y, ConstantBounds(lo, hi, lo, hi), alpha, beta, t, **kw),
         TheoremId.T34: lambda: minkowsky_related(
-            x, y, HolderPair.conjugate(p), lo, hi, alpha, t, nodes=16),
+            x, y, HolderPair.conjugate(p), lo, hi, alpha, t, **kw),
         TheoremId.YOUNG: lambda: young_pointwise_check(
-            x, y, HolderPair.conjugate(p), alpha, t, nodes=16),
-        TheoremId.POWMEAN: lambda: power_mean_check(x, y, p, alpha, t, nodes=16),
+            x, y, HolderPair.conjugate(p), alpha, t, **kw),
+        TheoremId.POWMEAN: lambda: power_mean_check(x, y, p, alpha, t, **kw),
     }
     return calls[theorem]()
+
+
+@pytest.mark.parametrize("theorem", list(TheoremId))
+def test_bad_rel_tol_is_rejected(theorem):
+    args = (theorem, ONE, ONE, 0.5, 2.0, 0.5, 0.75, E, 2.0)
+    assert _call_check(*args).passed
+    for rel_tol in (math.inf, math.nan, -1e-9, "1e-9"):
+        with pytest.raises(DomainError):
+            _call_check(*args, rel_tol=rel_tol)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
