@@ -17,7 +17,7 @@ class QuadratureError(HadafracError, ArithmeticError):
 class EnvelopeError(HadafracError, ValueError):
     """A hypothesised envelope condition fails at some sample point.
 
-    Carries the first offending sample point in `tau` when known.
+    Carries the smallest offending sample point in `tau` when known.
     """
 
     def __init__(self, message: str, tau: float | None = None):

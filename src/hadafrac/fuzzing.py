@@ -20,6 +20,7 @@ never more strictly than smooth trials, which use rel_tol (default 1e-9).
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -67,21 +68,36 @@ class FuzzConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "theorem_id", TheoremId(self.theorem_id))
-        if isinstance(self.trials, bool) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise DomainError(f"trials must be an integer of at least 1, got {self.trials!r}")
         _check_rel_tol(self.rel_tol)
-        for name, rng in (("alpha_range", self.alpha_range), ("beta_range", self.beta_range)):
-            lo, hi = rng
+        for name in ("alpha_range", "beta_range"):
+            lo, hi = _real_pair(name, getattr(self, name))
             if not (MIN_FUZZ_ORDER <= lo <= hi < math.inf):
                 raise DomainError(
                     f"{name} must satisfy {MIN_FUZZ_ORDER:g} <= lo <= hi < inf, "
                     f"got ({lo:g}, {hi:g})"
                 )
-        lo, hi = self.t_range
+        lo, hi = _real_pair("t_range", self.t_range)
         if not (1.0 < lo <= hi < math.inf):
             raise DomainError(f"t_range must satisfy 1 < lo <= hi < inf, got ({lo:g}, {hi:g})")
-        if self.nodes < 2:
-            raise DomainError(f"nodes must be at least 2, got {self.nodes}")
+        if not _is_int(self.nodes) or self.nodes < 2:
+            raise DomainError(f"nodes must be an integer of at least 2, got {self.nodes!r}")
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real_pair(name, bounds):
+    """The two numbers of a (lo, hi) range, or DomainError."""
+    try:
+        lo, hi = bounds
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not all(isinstance(v, numbers.Real) for v in (lo, hi)):
+        raise DomainError(f"{name} must be a pair of real numbers, got {bounds!r}")
+    return lo, hi
 
 
 @dataclass(frozen=True)

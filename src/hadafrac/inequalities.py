@@ -26,7 +26,7 @@ evaluated once, at a geometric grid on [1, t] plus every node of every
 measure; the hypotheses are checked on those values, and the integrals
 are the measures applied to the same values.  So the hypotheses hold at
 exactly the points the integrals use, where each inequality holds for
-the measure itself.  A violation raises EnvelopeError naming the first
+the measure itself.  A violation raises EnvelopeError naming the smallest
 offending point.
 """
 
@@ -187,21 +187,21 @@ def _sample(orders, t, nodes, *fns):
     """Measures of the given orders at t, and each of `fns` evaluated once.
 
     The sample points are a geometric grid of ENVELOPE_SAMPLES points on [1, t]
-    plus every node of every measure.  Returns (tau, integrals, values,
-    params): tau holds the sorted distinct sample points, values[j] is
-    fns[j] at tau, integrals[k] maps an array of values at tau to its
-    integral under the measure of orders[k], and params records the orders
-    as alpha (and beta) and t.
+    followed by the nodes of each measure in turn, unsorted and with any
+    duplicates kept.  Returns (tau, integrals, values, params): values[j]
+    is fns[j] at tau, integrals[k] maps an array of values at tau to its
+    integral under the measure of orders[k] (a contiguous slice of the
+    array holds its nodes), and params records the orders as alpha (and
+    beta) and t.
     """
     measures = [Measure(order, t, nodes) for order in orders]
     t = measures[0].t
     grid = t ** np.linspace(0.0, 1.0, ENVELOPE_SAMPLES)
-    tau, where = np.unique(
-        np.concatenate([grid, *(m.tau for m in measures)]), return_inverse=True
-    )
-    at_nodes = np.split(where[grid.size:], len(measures))
+    tau = np.concatenate([grid, *(m.tau for m in measures)])
+    ends = np.cumsum([grid.size, *(m.tau.size for m in measures)]).tolist()
     integrals = [
-        lambda v, m=m, i=i: m.integral(v[i]) for m, i in zip(measures, at_nodes)
+        lambda v, m=m, a=a, b=b: m.integral(v[a:b])
+        for m, a, b in zip(measures, ends, ends[1:])
     ]
     values = [_eval_on(f, tau) for f in fns]
     params = dict(zip(("alpha", "beta"), map(float, orders)), t=t)
@@ -209,7 +209,7 @@ def _sample(orders, t, nodes, *fns):
 
 
 def _require(tau, name, *conditions):
-    """Raise EnvelopeError at the first sample point where a hypothesis fails.
+    """Raise EnvelopeError at the smallest sample point where a hypothesis fails.
 
     Each condition is (holds, reason), with `holds` an elementwise
     comparison of sampled values.  A point fails unless its comparison is
@@ -218,7 +218,7 @@ def _require(tau, name, *conditions):
     for holds, reason in conditions:
         bad = np.flatnonzero(np.logical_not(holds))
         if bad.size:
-            where = float(tau[bad[0]])
+            where = float(tau[bad].min())
             raise EnvelopeError(f"{name}: {reason} at tau={where!r}", tau=where)
 
 

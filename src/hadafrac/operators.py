@@ -104,6 +104,8 @@ class Measure:
     def __init__(self, alpha, t, n):
         t = _check_t(t)
         alpha = _as_float("alpha", alpha)
+        if not isinstance(n, (int, np.integer)):
+            raise DomainError(f"nodes must be an integer, got {n!r}")
         rule = build_jacobi_rule(alpha, int(n))
         self.alpha, self.t = alpha, t
         try:
@@ -285,11 +287,10 @@ def hadamard_derivative(f, alpha, t, nodes=64):
     t = _check_t(t)
     if t == 1.0:
         raise DomainError("derivative needs t > 1")
-    count = int(nodes)
     h = min(_FD_REL_STEP * t, 0.25 * (t - 1.0))
 
     def anti(point):
-        measure = Measure(1.0 - alpha, point, count)
+        measure = Measure(1.0 - alpha, point, nodes)
         return measure.integral(_eval_on(f, measure.tau))
 
     upper = anti(t + h)
@@ -311,7 +312,7 @@ def hadamard_derivative(f, alpha, t, nodes=64):
         )
     value = t * central_slope
     err = t * abs(forward - backward) / 2.0
-    return OperatorResult(value=value, estimated_error=err, nodes_used=count)
+    return OperatorResult(value=value, estimated_error=err, nodes_used=nodes)
 
 
 def semigroup_residual(f, alpha, beta, t, n=64):

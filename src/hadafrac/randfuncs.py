@@ -5,10 +5,12 @@ operator's natural variable is the logarithm, so exactly-integrable cases
 (plain powers of ln) occur with positive probability, and clipping makes the
 two constant envelopes valid everywhere without any search.  Every draw is a
 pure function of the seed through a counter-based generator, so the same seed
-reproduces the same coefficients bit for bit on any platform.
+reproduces the same coefficients bit for bit on any platform.  Whether
+clipping engages is decided exactly on the design span [0, LOG_SPAN], from
+each piece's values at its ends and at its derivative's real roots.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +23,7 @@ LOG_SPAN = 3.0
 MAX_PIECES = 16
 MAX_DEGREE = 4
 
-# Grid density used to decide whether clipping actually engages on the span.
+# Grid density over which the smooth draw measures its raw swing.
 _CLIP_SCAN_POINTS = 2048
 
 
@@ -46,7 +48,8 @@ class PiecewiseLogPoly:
     Coefficients are stored lowest degree first, in the unshifted variable
     ln tau, one row of equal length per piece.  The unclipped polynomial is
     continuous at every breakpoint; `clipped` records whether clipping
-    engages anywhere on the design span.
+    engages anywhere on the design span [0, LOG_SPAN], decided exactly
+    rather than on a sample grid.
     """
 
     breakpoints: tuple
@@ -54,6 +57,12 @@ class PiecewiseLogPoly:
     clip_lo: float
     clip_hi: float
     clipped: bool
+    _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_edges", np.asarray(self.breakpoints, dtype=float))
+        object.__setattr__(self, "_rows", np.asarray(self.coefficients, dtype=float))
 
     def unclipped(self, tau):
         """Evaluate the continuous piecewise polynomial without clipping."""
@@ -62,43 +71,79 @@ class PiecewiseLogPoly:
         if np.any(arr <= 0.0):
             raise DomainError("arguments must be positive")
         u = np.log(arr)
-        edges = np.asarray(self.breakpoints)
+        edges = self._edges
         idx = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(edges) - 1)
-        rows = np.asarray(self.coefficients)[idx]
-        out = np.zeros_like(u)
-        for c in rows.T[::-1]:
-            out = out * u + c
+        out = _horner(self._rows[idx], u)
         return float(out[0]) if scalar else out.reshape(np.shape(tau))
 
     def __call__(self, tau):
         return np.clip(self.unclipped(tau), self.clip_lo, self.clip_hi)
 
 
-def _continuous_pieces(rng, edges, degree, lo, hi):
-    """Draw per-piece coefficients, splicing constants for continuity."""
+def _horner(rows, u):
+    """Row j of `rows` (lowest degree first) evaluated at the points u[..., j]."""
+    out = np.zeros_like(u)
+    for c in rows.T[::-1]:
+        out = out * u + c
+    return out
+
+
+def _continuous_pieces(rng, ends, degree, lo, hi):
+    """Draw per-piece coefficients, splicing constants for continuity.
+
+    ends[0, j] and ends[1, j] are the left and right end of piece j.
+    Returns a (pieces, degree + 1) array.  All slopes come from one draw,
+    which takes the same values from the stream as one draw per piece.
+    """
     scale = hi - lo
-    pieces = []
     level = lo + scale * rng.uniform(0.2, 0.8)
-    for j in range(len(edges)):
-        coeffs = np.zeros(degree + 1)
-        if degree > 0:
-            # Damp higher degrees so excursions stay comparable to the band.
-            coeffs[1:] = rng.uniform(-1.0, 1.0, size=degree) * (
-                scale / LOG_SPAN ** np.arange(1, degree + 1)
-            )
-        # Pin the value at the piece's left edge to the running level.
-        left = edges[j]
-        partial = 0.0
-        for c in coeffs[::-1]:
-            partial = partial * left + c
-        coeffs[0] = level - partial
-        pieces.append(tuple(float(c) for c in coeffs))
-        if j + 1 < len(edges):
-            right = edges[j + 1]
-            level = 0.0
-            for c in coeffs[::-1]:
-                level = level * right + c
-    return tuple(pieces)
+    pieces = ends.shape[1]
+    coeffs = np.zeros((pieces, degree + 1))
+    # Damp higher degrees so excursions stay comparable to the band.
+    coeffs[:, 1:] = rng.uniform(-1.0, 1.0, size=(pieces, degree)) * (
+        scale / LOG_SPAN ** np.arange(1, degree + 1)
+    )
+    # Pin the value at each piece's left edge to the running level, which
+    # the piece then carries to its right edge.
+    constants = []
+    for at_left, at_right in zip(*_horner(coeffs, ends).tolist()):
+        constants.append(level - at_left)
+        level = at_right + constants[-1]
+    coeffs[:, 0] = constants
+    return coeffs
+
+
+def _clips(ends, coeffs, lo, hi):
+    """Whether some piece leaves [lo, hi] between its ends (as in ends[:, j]).
+
+    A piece attains its extremes over an interval at an end or at a real
+    root of its derivative, so it is evaluated exactly there (complex roots
+    contribute their real parts, which are points of the interval too once
+    clipped into it).
+    """
+    points = [ends]
+    degree = coeffs.shape[1] - 1
+    if degree >= 2:
+        # Roots of p' are the eigenvalues of its companion matrix.
+        deriv = coeffs[:, 1:] * np.arange(1, degree + 1)
+        lead = deriv[:, -1]
+        flat = lead == 0.0
+        size = degree - 1
+        companion = np.zeros((len(coeffs), size, size))
+        companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+        companion[:, :, -1] = -deriv[:, :-1] / np.where(flat, 1.0, lead)[:, None]
+        if size == 1:
+            roots = companion[:, :, 0]  # a 1 x 1 matrix is its own eigenvalue
+        else:
+            roots = np.linalg.eigvals(companion).real
+        for j in np.flatnonzero(flat):
+            # np.roots drops the vanishing leading terms; pad with an end.
+            found = np.roots(deriv[j, ::-1]).real
+            roots[j] = ends[0, j]
+            roots[j, : found.size] = found
+        points.append(np.clip(roots.T, ends[0], ends[1]))
+    values = _horner(coeffs, np.vstack(points))
+    return bool(values.min() < lo or values.max() > hi)
 
 
 def random_bounded_function(seed, lo, hi, pieces, degree):
@@ -119,23 +164,16 @@ def random_bounded_function(seed, lo, hi, pieces, degree):
         raise DomainError(f"degree must lie in [0, {MAX_DEGREE}], got {degree}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     interior = np.sort(rng.uniform(0.0, LOG_SPAN, size=pieces - 1))
-    edges = (0.0, *(float(v) for v in interior))
-    coefficients = _continuous_pieces(rng, edges, degree, lo, hi)
-    probe = PiecewiseLogPoly(
-        breakpoints=edges,
-        coefficients=coefficients,
-        clip_lo=lo,
-        clip_hi=hi,
-        clipped=False,
-    )
-    scan = probe.unclipped(np.exp(np.linspace(0.0, LOG_SPAN, _CLIP_SCAN_POINTS)))
-    engages = bool(np.any(scan < lo) or np.any(scan > hi))
+    edges = np.concatenate([[0.0], interior])
+    # Piece j spans [edges[j], edges[j+1]] of the design span.
+    ends = np.stack([edges, np.append(interior, LOG_SPAN)])
+    coeffs = _continuous_pieces(rng, ends, degree, lo, hi)
     fn = PiecewiseLogPoly(
-        breakpoints=edges,
-        coefficients=coefficients,
+        breakpoints=tuple(edges.tolist()),
+        coefficients=tuple([tuple(row) for row in coeffs.tolist()]),
         clip_lo=lo,
         clip_hi=hi,
-        clipped=engages,
+        clipped=_clips(ends, coeffs, lo, hi),
     )
     return fn, ConstantFunction(lo), ConstantFunction(hi)
 

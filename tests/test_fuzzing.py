@@ -182,6 +182,15 @@ class TestConfigValidation:
             {"rel_tol": math.inf},
             {"rel_tol": math.nan},
             {"rel_tol": -1e-9},
+            {"nodes": "a"},
+            {"nodes": 2.5},
+            {"nodes": None},
+            {"trials": "a"},
+            {"trials": 2.0},
+            {"alpha_range": ("a", 1.0)},
+            {"beta_range": (0.5, None)},
+            {"t_range": 2.0},
+            {"t_range": (2.0,)},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):

@@ -32,7 +32,7 @@ from hadafrac.inequalities import (
     verify_envelope,
     young_pointwise_check,
 )
-from hadafrac.operators import hadamard_integral_graded, power_rule_integral
+from hadafrac.operators import Measure, hadamard_integral_graded, power_rule_integral
 from hadafrac.randfuncs import ConstantFunction, random_bounded_function
 
 E = math.e
@@ -198,6 +198,20 @@ class TestPolyaSzegoDouble:
         a = polya_szego_double(x, y, xe, 0.7, 1.4, 4.0)
         b = polya_szego_double(y, x, swapped, 1.4, 0.7, 4.0)
         assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
+
+    def test_violation_reports_smallest_offending_point(self):
+        # x leaves its band from a node of the second order's measure on,
+        # which lies between two points of the geometric grid: the error
+        # names that node, the smallest of the failing sample points.
+        alpha, beta, t = 0.5, 1.5, E
+        node = float(Measure(beta, t, 64).tau[20])
+        grid = t ** np.linspace(0.0, 1.0, 256)
+        assert not np.any(grid == node)
+        x = lambda s: np.where(s >= node, 3.0, 1.0)
+        with pytest.raises(EnvelopeError) as info:
+            polya_szego_double(x, ONE, UNIT_ENV, alpha, beta, t)
+        assert info.value.tau == node
+        assert f"tau={node!r}" in str(info.value)
 
 
 class TestProductBound:

@@ -240,6 +240,11 @@ def test_rejects_bad_orders_and_parameters():
         hadamard_integral(np.exp, math.inf, 2.0)
     with pytest.raises(DomainError):
         hadamard_integral(np.exp, 0.5, math.inf)
+    for nodes in ("a", 2.5, None):
+        with pytest.raises(DomainError):
+            hadamard_integral(np.exp, 0.5, 2.0, nodes=nodes)
+        with pytest.raises(DomainError):
+            hadamard_derivative(np.exp, 0.5, 2.0, nodes=nodes)
 
 
 def test_nonfinite_integrand_is_flagged():

@@ -10,11 +10,37 @@ from hadafrac.randfuncs import (
     LOG_SPAN,
     ConstantFunction,
     PiecewiseLogPoly,
+    _clips,
     random_bounded_function,
     random_smooth_function,
 )
 
 DENSE_TAU = np.exp(np.linspace(0.0, LOG_SPAN, 10_000))
+
+
+def piece_by_piece_draw(seed, lo, hi, pieces, degree):
+    """Reference draw: one slope draw and one scalar Horner splice per piece."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    edges = (0.0, *(float(v) for v in np.sort(rng.uniform(0.0, LOG_SPAN, size=pieces - 1))))
+    scale = hi - lo
+    rows = []
+    level = lo + scale * rng.uniform(0.2, 0.8)
+    for j in range(len(edges)):
+        coeffs = np.zeros(degree + 1)
+        if degree > 0:
+            coeffs[1:] = rng.uniform(-1.0, 1.0, size=degree) * (
+                scale / LOG_SPAN ** np.arange(1, degree + 1)
+            )
+        partial = 0.0
+        for c in coeffs[::-1]:
+            partial = partial * edges[j] + c
+        coeffs[0] = level - partial
+        rows.append(tuple(float(c) for c in coeffs))
+        if j + 1 < len(edges):
+            level = 0.0
+            for c in coeffs[::-1]:
+                level = level * edges[j + 1] + c
+    return edges, tuple(rows)
 
 
 class TestWorkedExamples:
@@ -96,6 +122,41 @@ class TestContinuity:
         # The band is narrow, so both outcomes should occur in 40 draws.
         assert flagged > 0
 
+    def test_every_clip_a_dense_scan_sees_is_flagged(self):
+        seen = 0
+        for seed in range(500):
+            fn, _, _ = random_bounded_function(seed, 1.0, 1.5, 1 + seed % 16, seed % 5)
+            raw = fn.unclipped(DENSE_TAU)
+            if np.any(raw < 1.0) or np.any(raw > 1.5):
+                seen += 1
+                assert fn.clipped, f"seed {seed}"
+        assert seen > 100
+
+    def test_excursion_between_scan_points_is_flagged(self):
+        # One piece peaking 1e-9 above hi midway between two points of a
+        # 2048-point grid on [0, LOG_SPAN]; at those points it is 2.7e-7
+        # below hi, and it stays above lo on the whole span.
+        lo, hi = 0.5, 2.0
+        grid = np.linspace(0.0, LOG_SPAN, 2048)
+        peak = 0.5 * (grid[1000] + grid[1001])
+        # hi + 1e-9 - (u - peak)^2 / 2, lowest degree first.
+        row = (hi + 1e-9 - 0.5 * peak**2, peak, -0.5)
+        fn = PiecewiseLogPoly((0.0,), (row,), lo, hi, clipped=False)
+        scan = fn.unclipped(np.exp(grid))
+        assert np.all((lo < scan) & (scan < hi))
+        ends = np.array([[0.0], [LOG_SPAN]])
+        assert _clips(ends, np.array([row]), lo, hi)
+        assert not _clips(ends, np.array([row]), lo, hi + 2e-9)
+
+    def test_zero_leading_coefficient_stays_finite(self):
+        # Quartic rows whose top terms vanish: 1 + 1.5u - 0.5u^2 peaks at
+        # 2.125 inside (0, 3) with both ends at 1, and a constant row.
+        coeffs = np.array([[1.0, 1.5, -0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]])
+        ends = np.array([[0.0, LOG_SPAN], [LOG_SPAN, LOG_SPAN]])
+        with np.errstate(all="raise"):
+            assert _clips(ends, coeffs, 0.5, 2.0)
+            assert not _clips(ends, coeffs, 0.5, 2.2)
+
     def test_wide_band_rarely_clips(self):
         fn, _, _ = random_bounded_function(3, 0.01, 100.0, 2, 1)
         assert not fn.clipped
@@ -123,6 +184,15 @@ class TestEvaluation:
                     acc = acc * u[piece == j] + c
                 expected[piece == j] = acc
             assert np.array_equal(fn.unclipped(DENSE_TAU), expected)
+
+    def test_matches_piece_by_piece_draw(self):
+        for seed in range(300):
+            for pieces in (1, 4, 16):
+                for degree in range(5):
+                    fn, _, _ = random_bounded_function(seed, 0.5, 2.0, pieces, degree)
+                    edges, rows = piece_by_piece_draw(seed, 0.5, 2.0, pieces, degree)
+                    assert fn.breakpoints == edges
+                    assert fn.coefficients == rows, (seed, pieces, degree)
 
     def test_two_dimensional_arguments(self):
         fn, _, _ = random_bounded_function(5, 0.5, 2.0, 3, 2)
