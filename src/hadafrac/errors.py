@@ -1,4 +1,11 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy, and the integer test, shared across the package."""
+
+import numpy as np
+
+
+def is_int(value):
+    """Whether value is a Python or NumPy integer; bool does not count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class HadafracError(Exception):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inequalities
-from .errors import DomainError
+from .errors import DomainError, is_int
 from .inequalities import (
     REL_TOL,
     BoundingQuadruple,
@@ -68,7 +68,7 @@ class FuzzConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "theorem_id", TheoremId(self.theorem_id))
-        if not _is_int(self.trials) or self.trials < 1:
+        if not is_int(self.trials) or self.trials < 1:
             raise DomainError(f"trials must be an integer of at least 1, got {self.trials!r}")
         _check_rel_tol(self.rel_tol)
         for name in ("alpha_range", "beta_range"):
@@ -81,12 +81,8 @@ class FuzzConfig:
         lo, hi = _real_pair("t_range", self.t_range)
         if not (1.0 < lo <= hi < math.inf):
             raise DomainError(f"t_range must satisfy 1 < lo <= hi < inf, got ({lo:g}, {hi:g})")
-        if not _is_int(self.nodes) or self.nodes < 2:
+        if not is_int(self.nodes) or self.nodes < 2:
             raise DomainError(f"nodes must be an integer of at least 2, got {self.nodes!r}")
-
-
-def _is_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _real_pair(name, bounds):

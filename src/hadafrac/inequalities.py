@@ -47,6 +47,9 @@ ABS_TOL = 1e-12
 # Extra geometric sample count used by precondition checks.
 ENVELOPE_SAMPLES = 256
 
+# Exponents of the geometric grid: t ** _UNIT spans [1, t].
+_UNIT = np.linspace(0.0, 1.0, ENVELOPE_SAMPLES)
+
 HOLDER_TOL = 1e-12
 
 
@@ -196,7 +199,7 @@ def _sample(orders, t, nodes, *fns):
     """
     measures = [Measure(order, t, nodes) for order in orders]
     t = measures[0].t
-    grid = t ** np.linspace(0.0, 1.0, ENVELOPE_SAMPLES)
+    grid = t ** _UNIT
     tau = np.concatenate([grid, *(m.tau for m in measures)])
     ends = np.cumsum([grid.size, *(m.tau.size for m in measures)]).tolist()
     integrals = [
@@ -213,9 +216,12 @@ def _require(tau, name, *conditions):
 
     Each condition is (holds, reason), with `holds` an elementwise
     comparison of sampled values.  A point fails unless its comparison is
-    True, so a NaN never passes.
+    True, so a NaN never passes.  `holds` may also be one bool for every
+    point, as when an envelope is a number.
     """
     for holds, reason in conditions:
+        if holds is True or (isinstance(holds, np.ndarray) and holds.all()):
+            continue
         bad = np.flatnonzero(np.logical_not(holds))
         if bad.size:
             where = float(tau[bad].min())

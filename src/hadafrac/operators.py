@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, RoughnessWarning
+from .errors import DomainError, QuadratureError, RoughnessWarning, is_int
 from .gammafn import gamma
 from .jacobi import MIN_RULE_ALPHA, build_jacobi_rule, jacobi_rule_01
 
@@ -78,7 +78,7 @@ def _eval_on(f, args):
     if not vectorized:
         arr = np.fromiter((float(f(float(a))) for a in args.ravel()), dtype=float, count=args.size)
         arr = arr.reshape(args.shape)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         bad = args[~np.isfinite(arr)][:3]
         raise QuadratureError(
             f"integrand returned a non-finite value near tau={bad.tolist()}"
@@ -104,7 +104,7 @@ class Measure:
     def __init__(self, alpha, t, n):
         t = _check_t(t)
         alpha = _as_float("alpha", alpha)
-        if not isinstance(n, (int, np.integer)):
+        if not is_int(n):
             raise DomainError(f"nodes must be an integer, got {n!r}")
         rule = build_jacobi_rule(alpha, int(n))
         self.alpha, self.t = alpha, t
@@ -211,9 +211,9 @@ def hadamard_integral_graded(f, alpha, t, n=512):
     if alpha <= 0.0:
         raise DomainError(f"order alpha must be positive, got {alpha:g}")
     t = _check_t(t)
+    if not is_int(n) or n < 8:
+        raise DomainError(f"mesh size must be an integer >= 8, got {n!r}")
     n = int(n)
-    if n < 8:
-        raise DomainError(f"mesh size must be an integer >= 8, got {n}")
     if t == 1.0:
         return OperatorResult(value=0.0, estimated_error=0.0, nodes_used=n + 1)
     length = math.log(t)
@@ -333,9 +333,9 @@ def semigroup_residual(f, alpha, beta, t, n=64):
     if beta <= 0.0:
         raise DomainError(f"inner order beta must be positive, got {beta:g}")
     t = _check_t(t)
+    if not is_int(n) or n < 16:
+        raise DomainError(f"semigroup check needs an integer n >= 16, got {n!r}")
     n = int(n)
-    if n < 16:
-        raise DomainError(f"semigroup check needs n >= 16, got {n}")
     direct = hadamard_integral(f, alpha + beta, t, nodes=2 * n, estimate_error=False).value
     if t == 1.0:
         return 0.0

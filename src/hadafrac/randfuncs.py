@@ -7,14 +7,16 @@ two constant envelopes valid everywhere without any search.  Every draw is a
 pure function of the seed through a counter-based generator, so the same seed
 reproduces the same coefficients bit for bit on any platform.  Whether
 clipping engages is decided exactly on the design span [0, LOG_SPAN], from
-each piece's values at its ends and at its derivative's real roots.
+each piece's values at its ends and at its derivative's critical points: the
+quadratic formula gives them for degree 3, the eigenvalues of the companion
+matrix for degree 4.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 # Functions are shaped over ln tau in [0, LOG_SPAN]; beyond the last
 # breakpoint the final piece extends, still clipped.
@@ -25,6 +27,13 @@ MAX_DEGREE = 4
 
 # Grid density over which the smooth draw measures its raw swing.
 _CLIP_SCAN_POINTS = 2048
+
+# Largest seed the counter-based generator takes as its 128-bit key.
+_MAX_SEED = 2**128 - 1
+
+_LOG_SPAN_POWERS = LOG_SPAN ** np.arange(1, MAX_DEGREE + 1)
+
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -66,23 +75,23 @@ class PiecewiseLogPoly:
 
     def unclipped(self, tau):
         """Evaluate the continuous piecewise polynomial without clipping."""
-        scalar = np.isscalar(tau) or np.ndim(tau) == 0
-        arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        if np.any(arr <= 0.0):
+        arr = np.asarray(tau, dtype=float)
+        if (arr <= 0.0).any():
             raise DomainError("arguments must be positive")
-        u = np.log(arr)
-        edges = self._edges
-        idx = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(edges) - 1)
+        # _horner pairs the points of a flat u with the rows they select.
+        u = np.log(arr.ravel())
+        # side="right" never returns more than len(edges), so only 0 bounds it.
+        idx = np.maximum(self._edges.searchsorted(u, side="right") - 1, 0)
         out = _horner(self._rows[idx], u)
-        return float(out[0]) if scalar else out.reshape(np.shape(tau))
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def __call__(self, tau):
-        return np.clip(self.unclipped(tau), self.clip_lo, self.clip_hi)
+        return np.minimum(np.maximum(self.unclipped(tau), self.clip_lo), self.clip_hi)
 
 
 def _horner(rows, u):
     """Row j of `rows` (lowest degree first) evaluated at the points u[..., j]."""
-    out = np.zeros_like(u)
+    out = np.zeros(u.shape)
     for c in rows.T[::-1]:
         out = out * u + c
     return out
@@ -96,20 +105,22 @@ def _continuous_pieces(rng, ends, degree, lo, hi):
     which takes the same values from the stream as one draw per piece.
     """
     scale = hi - lo
-    level = lo + scale * rng.uniform(0.2, 0.8)
     pieces = ends.shape[1]
+    steps = np.empty(2 * pieces)
+    steps[0] = lo + scale * rng.uniform(0.2, 0.8)
     coeffs = np.zeros((pieces, degree + 1))
     # Damp higher degrees so excursions stay comparable to the band.
     coeffs[:, 1:] = rng.uniform(-1.0, 1.0, size=(pieces, degree)) * (
-        scale / LOG_SPAN ** np.arange(1, degree + 1)
+        scale / _LOG_SPAN_POWERS[:degree]
     )
     # Pin the value at each piece's left edge to the running level, which
-    # the piece then carries to its right edge.
-    constants = []
-    for at_left, at_right in zip(*_horner(coeffs, ends).tolist()):
-        constants.append(level - at_left)
-        level = at_right + constants[-1]
-    coeffs[:, 0] = constants
+    # the piece then carries to its right edge: c[j] = level - left[j] and
+    # the next level is right[j] + c[j].  add.accumulate sums strictly left
+    # to right, so it does those two roundings per piece in that order.
+    left, right = _horner(coeffs, ends)
+    np.negative(left, out=steps[1::2])
+    steps[2::2] = right[:-1]
+    coeffs[:, 0] = np.add.accumulate(steps)[1::2]
     return coeffs
 
 
@@ -117,33 +128,48 @@ def _clips(ends, coeffs, lo, hi):
     """Whether some piece leaves [lo, hi] between its ends (as in ends[:, j]).
 
     A piece attains its extremes over an interval at an end or at a real
-    root of its derivative, so it is evaluated exactly there (complex roots
-    contribute their real parts, which are points of the interval too once
-    clipped into it).
+    root of its derivative, so it is evaluated exactly there.  The roots
+    come from the quadratic formula for degree 3 and from the eigenvalues
+    of the companion matrix for degree 4; complex roots contribute their
+    real parts, which are points of the interval too once clipped into it.
     """
     points = [ends]
     degree = coeffs.shape[1] - 1
     if degree >= 2:
-        # Roots of p' are the eigenvalues of its companion matrix.
         deriv = coeffs[:, 1:] * np.arange(1, degree + 1)
         lead = deriv[:, -1]
         flat = lead == 0.0
-        size = degree - 1
-        companion = np.zeros((len(coeffs), size, size))
-        companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
-        companion[:, :, -1] = -deriv[:, :-1] / np.where(flat, 1.0, lead)[:, None]
-        if size == 1:
-            roots = companion[:, :, 0]  # a 1 x 1 matrix is its own eigenvalue
+        # Lower coefficients of the monic derivative, negated: the last
+        # column of its companion matrix.
+        column = -deriv[:, :-1] / np.where(flat, 1.0, lead)[:, None]
+        if degree == 2:
+            roots = column  # a 1 x 1 matrix is its own eigenvalue
+        elif degree == 3:
+            # u^2 = column[1] u + column[0]; a negative discriminant leaves
+            # the real part `half` of the complex pair.
+            half = 0.5 * column[:, 1]
+            root = np.sqrt(np.maximum(half * half + column[:, 0], 0.0))
+            roots = half[:, None] + root[:, None] * _SIGNS
         else:
+            companion = np.zeros((len(coeffs), 3, 3))
+            companion[:, (1, 2), (0, 1)] = 1.0
+            companion[:, :, -1] = column
             roots = np.linalg.eigvals(companion).real
         for j in np.flatnonzero(flat):
             # np.roots drops the vanishing leading terms; pad with an end.
             found = np.roots(deriv[j, ::-1]).real
             roots[j] = ends[0, j]
             roots[j, : found.size] = found
-        points.append(np.clip(roots.T, ends[0], ends[1]))
-    values = _horner(coeffs, np.vstack(points))
+        points.append(np.minimum(np.maximum(roots.T, ends[0]), ends[1]))
+    values = _horner(coeffs, np.concatenate(points))
     return bool(values.min() < lo or values.max() > hi)
+
+
+def _generator(seed):
+    """The counter-based generator keyed by an integer seed in [0, 2^128)."""
+    if not is_int(seed) or not 0 <= seed <= _MAX_SEED:
+        raise DomainError(f"seed must be an integer in [0, 2^128), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def random_bounded_function(seed, lo, hi, pieces, degree):
@@ -156,20 +182,22 @@ def random_bounded_function(seed, lo, hi, pieces, degree):
     hi = float(hi)
     if not 0.0 < lo < hi:
         raise DomainError(f"need 0 < lo < hi, got lo={lo:g}, hi={hi:g}")
-    pieces = int(pieces)
-    if not 1 <= pieces <= MAX_PIECES:
-        raise DomainError(f"pieces must lie in [1, {MAX_PIECES}], got {pieces}")
-    degree = int(degree)
-    if not 0 <= degree <= MAX_DEGREE:
-        raise DomainError(f"degree must lie in [0, {MAX_DEGREE}], got {degree}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    interior = np.sort(rng.uniform(0.0, LOG_SPAN, size=pieces - 1))
-    edges = np.concatenate([[0.0], interior])
-    # Piece j spans [edges[j], edges[j+1]] of the design span.
-    ends = np.stack([edges, np.append(interior, LOG_SPAN)])
+    if not is_int(pieces) or not 1 <= pieces <= MAX_PIECES:
+        raise DomainError(f"pieces must be an integer in [1, {MAX_PIECES}], got {pieces!r}")
+    if not is_int(degree) or not 0 <= degree <= MAX_DEGREE:
+        raise DomainError(f"degree must be an integer in [0, {MAX_DEGREE}], got {degree!r}")
+    rng = _generator(seed)
+    interior = rng.uniform(0.0, LOG_SPAN, size=pieces - 1)
+    interior.sort()
+    # Piece j spans [ends[0, j], ends[1, j]] of the design span.
+    ends = np.empty((2, pieces))
+    ends[0, 0] = 0.0
+    ends[0, 1:] = interior
+    ends[1, :-1] = interior
+    ends[1, -1] = LOG_SPAN
     coeffs = _continuous_pieces(rng, ends, degree, lo, hi)
     fn = PiecewiseLogPoly(
-        breakpoints=tuple(edges.tolist()),
+        breakpoints=tuple(ends[0].tolist()),
         coefficients=tuple([tuple(row) for row in coeffs.tolist()]),
         clip_lo=lo,
         clip_hi=hi,
@@ -189,10 +217,9 @@ def random_smooth_function(seed, lo, hi, degree=4):
     hi = float(hi)
     if not 0.0 < lo < hi:
         raise DomainError(f"need 0 < lo < hi, got lo={lo:g}, hi={hi:g}")
-    degree = int(degree)
-    if not 1 <= degree <= MAX_DEGREE:
-        raise DomainError(f"degree must lie in [1, {MAX_DEGREE}], got {degree}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    if not is_int(degree) or not 1 <= degree <= MAX_DEGREE:
+        raise DomainError(f"degree must be an integer in [1, {MAX_DEGREE}], got {degree!r}")
+    rng = _generator(seed)
     raw = rng.uniform(-1.0, 1.0, size=degree)
     u = np.linspace(0.0, LOG_SPAN, _CLIP_SCAN_POINTS)
     swing = np.zeros_like(u)

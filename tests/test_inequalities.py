@@ -21,6 +21,7 @@ from hadafrac.inequalities import (
     InequalityReport,
     REL_TOL,
     TheoremId,
+    _require,
     constant_polya_szego,
     constant_polya_szego_two_order,
     minkowsky_related,
@@ -70,6 +71,31 @@ class TestVerifyEnvelope:
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
             verify_envelope(ONE, ONE, TWO, E, 1)
+
+
+class TestRequire:
+    TAU = np.array([1.0, 3.0, 2.0, 1.5])
+
+    def test_conditions_that_hold_everywhere_pass(self):
+        _require(self.TAU, "x", (np.ones(4, dtype=bool), "never"), (True, "never"))
+
+    def test_false_scalar_names_the_first_point(self):
+        with pytest.raises(EnvelopeError) as info:
+            _require(self.TAU, "x", (True, "never"), (False, "lower envelope is not positive"))
+        assert info.value.tau == self.TAU[0]
+        assert "x: lower envelope is not positive" in str(info.value)
+
+    def test_mixed_array_names_the_smallest_failing_point(self):
+        holds = np.array([True, False, False, True])
+        with pytest.raises(EnvelopeError) as info:
+            _require(self.TAU, "y", (holds, "function exceeds its upper envelope"))
+        assert info.value.tau == 2.0
+
+    def test_nan_comparison_fails(self):
+        values = np.array([1.0, np.nan, 1.0, 1.0])
+        with pytest.raises(EnvelopeError) as info:
+            _require(self.TAU, "x", (values >= 0.0, "function is negative"))
+        assert info.value.tau == 3.0
 
 
 class TestDomainTypes:

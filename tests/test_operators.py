@@ -245,6 +245,20 @@ def test_rejects_bad_orders_and_parameters():
             hadamard_integral(np.exp, 0.5, 2.0, nodes=nodes)
         with pytest.raises(DomainError):
             hadamard_derivative(np.exp, 0.5, 2.0, nodes=nodes)
+    for n in ("a", 16.9, 64.0, None, True):
+        with pytest.raises(DomainError):
+            semigroup_residual(np.exp, 0.5, 0.5, 2.0, n=n)
+        with pytest.raises(DomainError):
+            hadamard_integral_graded(np.exp, 0.5, 2.0, n)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    assert semigroup_residual(np.exp, 0.5, 0.5, 2.0, n=np.int64(16)) == semigroup_residual(
+        np.exp, 0.5, 0.5, 2.0, n=16
+    )
+    assert hadamard_integral_graded(np.exp, 0.5, 2.0, np.int32(64)) == hadamard_integral_graded(
+        np.exp, 0.5, 2.0, 64
+    )
 
 
 def test_nonfinite_integrand_is_flagged():

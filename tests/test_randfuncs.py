@@ -43,6 +43,39 @@ def piece_by_piece_draw(seed, lo, hi, pieces, degree):
     return edges, tuple(rows)
 
 
+def companion_eigvals_clips(ends, coeffs, lo, hi):
+    """Reference flag: every critical point from the companion matrix's eigenvalues."""
+    points = [ends]
+    degree = coeffs.shape[1] - 1
+    if degree >= 2:
+        deriv = coeffs[:, 1:] * np.arange(1, degree + 1)
+        lead = deriv[:, -1]
+        flat = lead == 0.0
+        size = degree - 1
+        companion = np.zeros((len(coeffs), size, size))
+        companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+        companion[:, :, -1] = -deriv[:, :-1] / np.where(flat, 1.0, lead)[:, None]
+        if size == 1:
+            roots = companion[:, :, 0]
+        else:
+            roots = np.linalg.eigvals(companion).real
+        for j in np.flatnonzero(flat):
+            found = np.roots(deriv[j, ::-1]).real
+            roots[j] = ends[0, j]
+            roots[j, : found.size] = found
+        points.append(np.clip(roots.T, ends[0], ends[1]))
+    values = np.vstack(points)
+    out = np.zeros_like(values)
+    for c in coeffs.T[::-1]:
+        out = out * values + c
+    return bool(out.min() < lo or out.max() > hi)
+
+
+def piece_ends(fn):
+    """The (2, pieces) array of each piece's ends on the design span."""
+    return np.array([fn.breakpoints, (*fn.breakpoints[1:], LOG_SPAN)])
+
+
 class TestWorkedExamples:
     def test_degree_zero_single_piece_is_constant(self):
         fn, lo_env, hi_env = random_bounded_function(42, 1.0, 2.0, 1, 0)
@@ -157,6 +190,42 @@ class TestContinuity:
             assert _clips(ends, coeffs, 0.5, 2.0)
             assert not _clips(ends, coeffs, 0.5, 2.2)
 
+    def test_flag_matches_companion_eigenvalues(self):
+        flagged = 0
+        for seed in range(300):
+            for pieces in (1, 4, 16):
+                for degree in (2, 3, 4):
+                    fn, _, _ = random_bounded_function(seed, 0.5, 2.0, pieces, degree)
+                    expected = companion_eigvals_clips(
+                        piece_ends(fn), np.array(fn.coefficients), 0.5, 2.0
+                    )
+                    assert fn.clipped == expected, (seed, pieces, degree)
+                    flagged += expected
+        assert 0 < flagged < 2700
+
+    @pytest.mark.parametrize(
+        "row, right, lo, hi, clips",
+        [
+            # p' = 3 (u - 1.5)^2 + 1 > 0: complex critical pair, real part
+            # 1.5; p rises from 1 to 10.75 on [0, 3].
+            ((1.0, 7.75, -4.5, 1.0), 3.0, 0.5, 11.0, False),
+            ((1.0, 7.75, -4.5, 1.0), 3.0, 0.5, 10.0, True),
+            # p' = 3 (u - 1.5)^2: discriminant exactly 0, a double critical
+            # point; p rises from 1 to 7.75 on [0, 3].
+            ((1.0, 6.75, -4.5, 1.0), 3.0, 0.5, 8.0, False),
+            ((1.0, 6.75, -4.5, 1.0), 3.0, 1.5, 8.0, True),
+            # p' = 3 (u - 1) (u - 2): on [0, 1.5] the ends give 0.5 and 2.75,
+            # and the peak is p(1) = 3 exactly, at a root inside the piece.
+            ((0.5, 6.0, -4.5, 1.0), 1.5, 0.4, 3.0, False),
+            ((0.5, 6.0, -4.5, 1.0), 1.5, 0.4, 3.0 - 1e-9, True),
+        ],
+    )
+    def test_cubic_critical_points(self, row, right, lo, hi, clips):
+        ends = np.array([[0.0], [right]])
+        coeffs = np.array([row])
+        assert _clips(ends, coeffs, lo, hi) == clips
+        assert companion_eigvals_clips(ends, coeffs, lo, hi) == clips
+
     def test_wide_band_rarely_clips(self):
         fn, _, _ = random_bounded_function(3, 0.01, 100.0, 2, 1)
         assert not fn.clipped
@@ -200,6 +269,12 @@ class TestEvaluation:
         assert fn(tau).shape == (2, 2)
         assert fn(tau)[1, 0] == fn(3.0)
 
+    def test_non_square_arguments_match_flat(self):
+        fn, _, _ = random_bounded_function(5, 0.5, 2.0, 8, 3)
+        tau = np.exp(np.linspace(0.01, LOG_SPAN, 12))
+        assert np.array_equal(fn.unclipped(tau.reshape(3, 4)), fn.unclipped(tau).reshape(3, 4))
+        assert np.array_equal(fn(tau.reshape(4, 3)), fn(tau).reshape(4, 3))
+
     def test_extends_beyond_design_span(self):
         fn, _, _ = random_bounded_function(11, 0.5, 2.0, 4, 3)
         far = fn(np.exp(LOG_SPAN + 2.0))
@@ -233,11 +308,30 @@ class TestValidation:
             (0.5, 2.0, 17, 0),
             (0.5, 2.0, 1, -1),
             (0.5, 2.0, 1, 5),
+            (0.5, 2.0, 2.7, 1),
+            (0.5, 2.0, 2, 1.9),
+            (0.5, 2.0, 2.0, 1),
+            (0.5, 2.0, "a", 1),
+            (0.5, 2.0, 2, "a"),
+            (0.5, 2.0, 2, None),
+            (0.5, 2.0, True, 1),
         ],
     )
     def test_parameter_ranges(self, lo, hi, pieces, degree):
         with pytest.raises(DomainError):
             random_bounded_function(0, lo, hi, pieces, degree)
+
+    @pytest.mark.parametrize("seed", [0.9, 2.0, "a", None, True, -1, 2**128])
+    def test_seed_must_be_a_generator_key(self, seed):
+        with pytest.raises(DomainError):
+            random_bounded_function(seed, 0.5, 2.0, 2, 1)
+        with pytest.raises(DomainError):
+            random_smooth_function(seed, 0.5, 2.0)
+
+    def test_numpy_integers_are_accepted(self):
+        fn, _, _ = random_bounded_function(np.uint64(7), 0.5, 2.0, np.int8(3), np.int64(2))
+        assert fn == random_bounded_function(7, 0.5, 2.0, 3, 2)[0]
+        assert random_bounded_function(2**128 - 1, 0.5, 2.0, 1, 0)[0].clip_lo == 0.5
 
     def test_frozen_dataclass(self):
         fn, _, _ = random_bounded_function(5, 0.5, 2.0, 3, 2)
@@ -271,3 +365,5 @@ class TestSmoothVariant:
             random_smooth_function(0, 0.5, 2.0, degree=0)
         with pytest.raises(DomainError):
             random_smooth_function(0, 0.5, 2.0, degree=9)
+        with pytest.raises(DomainError):
+            random_smooth_function(0, 0.5, 2.0, degree=2.5)
