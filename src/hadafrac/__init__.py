@@ -43,7 +43,6 @@ from .inequalities import (
     power_mean_check,
     product_bound,
     ratio_bound_constant,
-    verify_envelope,
     young_pointwise_check,
 )
 from .jacobi import MIN_RULE_ALPHA, QuadratureRule, build_jacobi_rule, jacobi_rule_01
@@ -116,6 +115,5 @@ __all__ = [
     "semigroup_residual",
     "serialize",
     "trial_seed",
-    "verify_envelope",
     "young_pointwise_check",
 ]

@@ -15,8 +15,8 @@ global generator state exists, so trials can be reproduced in isolation
 and executed in any order.
 
 Clipping can kink a trial function.  Kinked trials are flagged on the
-trial result and judged at the relative tolerance max(rel_tol, 1e-7), so
-never more strictly than smooth trials, which use rel_tol (default 1e-9).
+trial result and judged like every other trial, at rel_tol (default
+1e-9): the measure argument above does not depend on smoothness.
 """
 
 import math
@@ -38,8 +38,6 @@ from .inequalities import (
     _check_rel_tol,
 )
 from .randfuncs import ConstantFunction, random_bounded_function
-
-KINKED_REL_TOL = 1e-7
 
 # Orders are drawn from this grid so the node caches amortize across trials.
 ORDER_GRID_STEP = 0.05
@@ -68,6 +66,7 @@ class FuzzConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "theorem_id", TheoremId(self.theorem_id))
+        _check_seed("master_seed", self.master_seed)
         if not is_int(self.trials) or self.trials < 1:
             raise DomainError(f"trials must be an integer of at least 1, got {self.trials!r}")
         _check_rel_tol(self.rel_tol)
@@ -118,8 +117,15 @@ class RunSummary:
     wall_time: float
 
 
+def _check_seed(name, value):
+    if not is_int(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def trial_seed(master_seed, index):
     """Seed of trial `index` in a run started from `master_seed`."""
+    _check_seed("master_seed", master_seed)
+    _check_seed("index", index)
     return (int(master_seed) + int(index)) & _SEED_MASK
 
 
@@ -205,10 +211,10 @@ def run_trial(theorem_id, seed, *, alpha_range=(MIN_FUZZ_ORDER, 2.5),
 
     Fully reproducible: the seed determines every draw, so a CSV row's
     seed column reruns its trial in isolation.  Returns (report, kinked).
-    A kinked trial is judged at max(rel_tol, KINKED_REL_TOL).
+    Every trial, kinked or not, is judged at rel_tol.
     """
-    _check_rel_tol(rel_tol)
     check, family, order_count = _TRIALS[TheoremId(theorem_id)]
+    _check_seed("seed", seed)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
     alpha = _draw_order(rng, alpha_range)
     beta = _draw_order(rng, beta_range)
@@ -228,8 +234,7 @@ def run_trial(theorem_id, seed, *, alpha_range=(MIN_FUZZ_ORDER, 2.5),
     kinked = any(getattr(f, "clipped", False) for f in (x_fn, y_fn))
     report = getattr(inequalities, check)(
         x_fn, y_fn, *hypothesis, *(alpha, beta)[:order_count], t,
-        nodes=nodes, rel_tol=max(rel_tol, KINKED_REL_TOL) if kinked else rel_tol,
-        seed=int(seed),
+        nodes=nodes, rel_tol=rel_tol, seed=int(seed),
     )
     return report, kinked
 

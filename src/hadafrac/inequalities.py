@@ -39,12 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EnvelopeError, QuadratureError
-from .operators import Measure, _check_t, _eval_on, power_rule_integral
+from .operators import Measure, _eval_on, power_rule_integral
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
-# Extra geometric sample count used by precondition checks.
+# Points of the geometric grid on [1, t] at which each check samples its
+# functions, besides the nodes of its measures.
 ENVELOPE_SAMPLES = 256
 
 # Exponents of the geometric grid: t ** _UNIT spans [1, t].
@@ -254,28 +255,6 @@ def _quotient(num, den):
     if den == 0.0:
         raise DomainError("the ratio of integrals is 0/0 where they vanish, at t = 1")
     return num / den
-
-
-def verify_envelope(f, lo, hi, t, samples=ENVELOPE_SAMPLES, extra_tau=None):
-    """True iff 0 < lo(tau) <= f(tau) <= hi(tau) at every sample point.
-
-    Sample points are `samples` geometrically spaced values in [1, t],
-    plus any `extra_tau` supplied by the caller (typically the quadrature
-    nodes in use).  Comparisons are non-strict, so tight envelopes pass.
-    """
-    samples = int(samples)
-    if samples < 2:
-        raise DomainError(f"samples must be at least 2, got {samples}")
-    t = _check_t(t)
-    tau = t ** np.linspace(0.0, 1.0, samples)
-    if extra_tau is not None:
-        tau = np.unique(np.concatenate([tau, np.asarray(extra_tau, dtype=float)]))
-    values = (_eval_on(g, tau) for g in (f, lo, hi))
-    try:
-        _require(tau, "f", *_between(*values))
-    except EnvelopeError:
-        return False
-    return True
 
 
 @_finite

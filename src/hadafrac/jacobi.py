@@ -175,13 +175,10 @@ def jacobi_rule_01(n: int, zero_exponent: float, one_exponent: float = 0.0):
     return s, w
 
 
-@lru_cache(maxsize=512)
-def build_jacobi_rule(alpha: float, n: int) -> QuadratureRule:
-    """Rule for the weight s**(alpha-1) on [0, 1] with n nodes.
-
-    Exact for polynomial integrands of degree <= 2n-1.  The rule depends only
-    on (alpha, n), so it is cached and shared; instances are immutable.
-    """
+def check_rule_order(alpha, n):
+    """Raise DomainError unless alpha and n are an order and size of rule
+    that the operators may use (n above MAX_RULE_NODES is left to
+    jacobi_rule_01)."""
     if not MIN_RULE_ALPHA <= alpha <= GAMMA_MAX_ARG:
         # Below the floor the endpoint clustering makes rule quality not
         # certifiable; above the ceiling Gamma(alpha), which every operator
@@ -191,6 +188,16 @@ def build_jacobi_rule(alpha: float, n: int) -> QuadratureRule:
         )
     if n < 2:
         raise DomainError(f"need at least two nodes, got n={n}")
+
+
+@lru_cache(maxsize=512)
+def build_jacobi_rule(alpha: float, n: int) -> QuadratureRule:
+    """Rule for the weight s**(alpha-1) on [0, 1] with n nodes.
+
+    Exact for polynomial integrands of degree <= 2n-1.  The rule depends only
+    on (alpha, n), so it is cached and shared; instances are immutable.
+    """
+    check_rule_order(alpha, n)
     s, w = jacobi_rule_01(n, alpha - 1.0)
     total = w.sum()
     # Construction sanity check: the exact weight sum is 1/alpha.  The 1e-12

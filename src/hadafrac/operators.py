@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError, RoughnessWarning, is_int
 from .gammafn import gamma
-from .jacobi import MIN_RULE_ALPHA, build_jacobi_rule, jacobi_rule_01
+from .jacobi import MIN_RULE_ALPHA, build_jacobi_rule, check_rule_order, jacobi_rule_01
 
 import math
 import warnings
@@ -95,35 +95,39 @@ class Measure:
         I^alpha f(t) = prefactor * sum_i w_i f(tau_i),
         tau_i = t^(1 - s_i),  prefactor = (ln t)^alpha / Gamma(alpha).
 
+    An endpoint exponent g != 0 takes s_i, w_i from the rule for the weight
+    s^(alpha-1) (1-s)^g and divides each w_i by (1-s_i)^g.  That is again a
+    rule for s^(alpha-1), now exact when f behaves like (ln tau)^g times a
+    polynomial in ln tau, since ln tau_i = (1-s_i) ln t.  Only the plain
+    rule (g = 0) has its weight sum checked against 1/alpha.
+
     Every weight is positive, so an inequality between integrands that holds
     at the points tau_i also holds between their integrals.
     """
 
-    __slots__ = ("alpha", "t", "tau", "weights", "prefactor")
+    __slots__ = ("alpha", "t", "endpoint_exponent", "nodes", "tau", "weights", "prefactor")
 
-    def __init__(self, alpha, t, n):
+    def __init__(self, alpha, t, n, endpoint_exponent=0.0):
         t = _check_t(t)
         alpha = _as_float("alpha", alpha)
         if not is_int(n):
             raise DomainError(f"nodes must be an integer, got {n!r}")
-        rule = build_jacobi_rule(alpha, int(n))
-        self.alpha, self.t = alpha, t
+        g = _as_float("endpoint_exponent", endpoint_exponent)
+        if g <= -1.0:
+            raise DomainError(f"endpoint exponent must exceed -1 for integrability, got {g:g}")
+        if g == 0.0:
+            rule = build_jacobi_rule(alpha, int(n))
+            self.nodes, self.weights = rule.nodes, rule.weights
+        else:
+            check_rule_order(alpha, n)
+            s, w = jacobi_rule_01(int(n), alpha - 1.0, g)
+            self.nodes, self.weights = s, w / (1.0 - s) ** g
+        self.alpha, self.t, self.endpoint_exponent = alpha, t, g
         try:
             self.prefactor = math.log(t) ** alpha / gamma(alpha)
         except OverflowError as exc:
             raise QuadratureError(f"(ln t)^alpha overflows for alpha={alpha:g}, t={t:g}") from exc
-        self._place(rule.nodes, rule.weights)
-
-    def _place(self, nodes, weights):
-        self.tau = np.minimum(self.t, np.maximum(1.0, self.t ** (1.0 - nodes)))
-        self.weights = weights
-
-    def with_rule(self, nodes, weights):
-        """The same prefactor on another rule for the weight s^(alpha-1)."""
-        other = object.__new__(Measure)
-        other.alpha, other.t, other.prefactor = self.alpha, self.t, self.prefactor
-        other._place(nodes, weights)
-        return other
+        self.tau = np.minimum(t, np.maximum(1.0, t ** (1.0 - self.nodes)))
 
     def integral(self, values):
         """prefactor * sum_i w_i values_i, for the values of f at `tau`."""
@@ -146,31 +150,20 @@ def hadamard_integral(f, alpha, t, nodes=64, estimate_error=True, endpoint_expon
     the quadrature weight, restoring spectral accuracy that a plain rule
     loses for non-integer g.
     """
-    gam = _as_float("endpoint_exponent", endpoint_exponent)
-    if gam <= -1.0:
-        raise DomainError(
-            f"endpoint exponent must exceed -1 for integrability, got {gam:g}"
-        )
-    measure = Measure(alpha, t, nodes)
-    alpha, count = measure.alpha, measure.weights.size
+    measure = Measure(alpha, t, nodes, endpoint_exponent)
+    g, count = measure.endpoint_exponent, measure.weights.size
+    if g != 0.0:
+        # The endpoint rule has no weight-sum check of its own; the plain
+        # rule of the same order and size stands in for it.
+        Measure(alpha, t, nodes)
     if measure.t == 1.0:
         return OperatorResult(value=0.0, estimated_error=0.0, nodes_used=count)
 
-    def apply(n):
-        if gam != 0.0:
-            s, w = jacobi_rule_01(n, alpha - 1.0, gam)
-            # Dividing out the absorbed factor turns the rule back into one
-            # for the plain weight s^(alpha-1), applied to f directly.
-            m = measure.with_rule(s, w / (1.0 - s) ** gam)
-        elif n != count:
-            r = build_jacobi_rule(alpha, n)
-            m = measure.with_rule(r.nodes, r.weights)
-        else:
-            m = measure
+    def apply(m):
         return m.integral(_eval_on(f, m.tau))
 
-    value = apply(count)
-    err = abs(apply(2 * count) - value) if estimate_error else 0.0
+    value = apply(measure)
+    err = abs(apply(Measure(alpha, t, 2 * count, g)) - value) if estimate_error else 0.0
     return OperatorResult(value=value, estimated_error=err, nodes_used=count)
 
 
@@ -339,19 +332,14 @@ def semigroup_residual(f, alpha, beta, t, n=64):
     direct = hadamard_integral(f, alpha + beta, t, nodes=2 * n, estimate_error=False).value
     if t == 1.0:
         return 0.0
-    # Outer rule for weight s^(alpha-1) (1-s)^beta; dividing the weights by
-    # (1-s)^beta then applies the plain s^(alpha-1) rule to an integrand whose
-    # endpoint zero has been made explicit.
-    s, w = jacobi_rule_01(n, alpha - 1.0, beta)
-    v = w / (1.0 - s) ** beta
+    outer = Measure(alpha, t, n, beta)
     inner_rule = build_jacobi_rule(beta, n)
     log_t = math.log(t)
     # tau_i = t^(1-s_i); inner arguments tau_i^(1-sigma_j) in one matrix.
-    outer_exp = 1.0 - s
+    outer_exp = 1.0 - outer.nodes
     inner_args = t ** np.outer(outer_exp, 1.0 - inner_rule.nodes)
     inner_args = np.minimum(t, np.maximum(1.0, inner_args))
     fvals = _eval_on(f, inner_args)
     inner_pref = (outer_exp * log_t) ** beta / gamma(beta)
-    g_outer = inner_pref * (fvals @ inner_rule.weights)
-    nested = log_t**alpha / gamma(alpha) * float(np.dot(v, g_outer))
+    nested = outer.integral(inner_pref * (fvals @ inner_rule.weights))
     return abs(nested - direct) / max(1.0, abs(direct))

@@ -199,6 +199,12 @@ class TestExitCodes:
         assert code == 3
         assert "quadrature failure" in err
 
+    def test_semigroup_overflow_is_three(self, capsys):
+        code, out, err = run_cli(capsys, "semigroup", "1e307", "1", "0.05", "2")
+        assert code == 3
+        assert "quadrature failure" in err
+        assert out == ""
+
     def test_bad_t_is_two(self, capsys):
         code, _, _ = run_cli(capsys, "integrate", "1", "1.0", "0.5")
         assert code == 2

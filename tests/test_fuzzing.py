@@ -4,13 +4,13 @@ import inspect
 import io
 import math
 
+import numpy as np
 import pytest
 
 from hadafrac import fuzzing, inequalities
 from hadafrac.errors import DomainError
 from hadafrac.fuzzing import (
     CSV_HEADER,
-    KINKED_REL_TOL,
     FuzzConfig,
     RunSummary,
     TrialResult,
@@ -66,6 +66,16 @@ class TestDeterminism:
     def test_trial_seed_wraps_into_63_bits(self):
         assert trial_seed(2**63 - 1, 5) == 4
         assert trial_seed(0, 12) == 12
+        assert trial_seed(np.int64(3), np.int32(4)) == 7
+
+    @pytest.mark.parametrize("seed", [2.7, 2.0, "a", None, True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(DomainError):
+            run_trial(TheoremId.T31, seed)
+        with pytest.raises(DomainError):
+            trial_seed(seed, 1)
+        with pytest.raises(DomainError):
+            trial_seed(1, seed)
 
 
 class TestSoundness:
@@ -191,6 +201,10 @@ class TestConfigValidation:
             {"beta_range": (0.5, None)},
             {"t_range": 2.0},
             {"t_range": (2.0,)},
+            {"master_seed": 2.5},
+            {"master_seed": "a"},
+            {"master_seed": None},
+            {"master_seed": True},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -221,12 +235,13 @@ class TestTrialTolerance:
         with pytest.raises(DomainError):
             run_trial(TheoremId.T31, seed, rel_tol=rel_tol)
 
+    # Kinked or smooth, every trial is judged at exactly its rel_tol.
     @pytest.mark.parametrize(
         "seed, rel_tol, judged_at",
         [
             (SMOOTH_T31_SEED, 1e-5, 1e-5),
             (KINKED_T31_SEED, 1e-5, 1e-5),
-            (KINKED_T31_SEED, 1e-9, KINKED_REL_TOL),
+            (KINKED_T31_SEED, 1e-9, 1e-9),
             (SMOOTH_T31_SEED, 1e-9, 1e-9),
         ],
     )

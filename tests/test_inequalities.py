@@ -30,7 +30,6 @@ from hadafrac.inequalities import (
     power_mean_check,
     product_bound,
     ratio_bound_constant,
-    verify_envelope,
     young_pointwise_check,
 )
 from hadafrac.operators import Measure, hadamard_integral_graded, power_rule_integral
@@ -44,33 +43,6 @@ UNIT_ENV = BoundingQuadruple(ONE, ONE, ONE, ONE)
 
 def graded(f, alpha, t, n=4096):
     return hadamard_integral_graded(f, alpha, t, n=n).value
-
-
-class TestVerifyEnvelope:
-    def test_constant_inside_band(self):
-        assert verify_envelope(ONE, ConstantFunction(0.5), TWO, E, 100)
-
-    def test_log_falls_below_lower_envelope_at_one(self):
-        f = lambda s: np.log(s)
-        assert not verify_envelope(f, ConstantFunction(0.5), TWO, E, 100)
-
-    def test_tight_monotone_range(self):
-        f = lambda s: 1.0 + np.log(s)
-        assert verify_envelope(f, ONE, TWO, E, 100)
-
-    def test_nonpositive_lower_envelope_rejected(self):
-        assert not verify_envelope(ONE, ConstantFunction(0.0), TWO, E, 100)
-
-    def test_extra_points_are_checked(self):
-        f = lambda s: np.where(np.abs(s - 1.7) < 1e-6, 5.0, 1.0)
-        assert verify_envelope(f, ConstantFunction(0.5), TWO, E, 100)
-        assert not verify_envelope(
-            f, ConstantFunction(0.5), TWO, E, 100, extra_tau=[1.7]
-        )
-
-    def test_sample_count_validation(self):
-        with pytest.raises(DomainError):
-            verify_envelope(ONE, ONE, TWO, E, 1)
 
 
 class TestRequire:
@@ -513,25 +485,22 @@ class TestSoundnessMiniFuzz:
             alpha = 0.25 + 0.05 * (seed % 20)
             beta = 0.35 + 0.05 * (seed % 15)
             t = 1.5 + 0.1 * (seed % 30)
-            rel = 1e-7 if (x.clipped or y.clipped) else 1e-9
             reports = [
-                polya_szego_single(x, y, env, alpha, t, rel_tol=rel),
-                polya_szego_double(x, y, env, alpha, beta, t, rel_tol=rel),
-                product_bound(x, y, env, alpha, beta, t, rel_tol=rel),
+                polya_szego_single(x, y, env, alpha, t),
+                polya_szego_double(x, y, env, alpha, beta, t),
+                product_bound(x, y, env, alpha, beta, t),
             ]
             cb = ConstantBounds(0.5, 2.0, 1.0, 3.0)
             reports += [
-                constant_polya_szego(x, y, cb, alpha, t, rel_tol=rel),
-                constant_polya_szego_two_order(x, y, cb, alpha, beta, t, rel_tol=rel),
-                ratio_bound_constant(x, y, cb, alpha, beta, t, rel_tol=rel),
-                young_pointwise_check(x, y, HolderPair(2.5, 5.0 / 3.0), alpha, t, rel_tol=rel),
-                power_mean_check(x, y, 2.5, alpha, t, rel_tol=rel),
+                constant_polya_szego(x, y, cb, alpha, t),
+                constant_polya_szego_two_order(x, y, cb, alpha, beta, t),
+                ratio_bound_constant(x, y, cb, alpha, beta, t),
+                young_pointwise_check(x, y, HolderPair(2.5, 5.0 / 3.0), alpha, t),
+                power_mean_check(x, y, 2.5, alpha, t),
             ]
             # x/y ranges over [0.5/3, 2] inside (m, M) = (0.1, 2.5).
             reports.append(
-                minkowsky_related(
-                    x, y, HolderPair(2.0, 2.0), 0.1, 2.5, alpha, t, rel_tol=rel
-                )
+                minkowsky_related(x, y, HolderPair(2.0, 2.0), 0.1, 2.5, alpha, t)
             )
             for r in reports:
                 assert r.passed, (

@@ -5,6 +5,7 @@ algebraic-weight handling, entirely independent of the Gauss-Jacobi and
 graded-mesh routes under test.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -288,6 +289,13 @@ def test_semigroup_property(f, orders):
         assert semigroup_residual(f, alpha, beta, t) < 1e-6
 
 
+def test_semigroup_overflow_raises():
+    # The inner rule's weights sum to 1/0.05 = 20, so its weighted sum of
+    # 1e307 overflows; the direct integral of order 1.05 stays finite.
+    with pytest.raises(QuadratureError):
+        semigroup_residual(lambda x: 1e307 + 0 * x, 1.0, 0.05, 2.0)
+
+
 def test_semigroup_worked_examples():
     assert semigroup_residual(constant_one, 0.3, 0.7, math.e) < 1e-8
     assert semigroup_residual(np.log, 0.5, 0.5, math.e) < 1e-8
@@ -300,3 +308,38 @@ def test_result_is_frozen_with_nonnegative_error():
     assert res.estimated_error >= 0.0
     with pytest.raises(AttributeError):
         res.value = 0.0
+
+
+# SHA-256 over the float.hex bits of the operators on a small fixed grid,
+# recorded before Measure took the endpoint exponent.  A change to how the
+# quadrature is assembled must leave every bit of every result in place.
+OPERATOR_BITS_SHA256 = "00e2dc7530da3af8cc081cc4c9725fbd24d483e609090422ee30f1af697d26c1"
+
+
+def _operator_bits():
+    lines = []
+
+    def record(*values):
+        lines.append(" ".join(str(v) if isinstance(v, int) else float(v).hex() for v in values))
+
+    for nodes in (16, 64):
+        for alpha in (0.3, 1.0, 2.5):
+            for t in (1.5, 8.0):
+                r = hadamard_integral(np.exp, alpha, t, nodes=nodes)
+                record(r.value, r.estimated_error, r.nodes_used)
+                for g in (0.5, 2.0):
+                    f = lambda x, g=g: np.log(x) ** g * np.exp(x)
+                    r = hadamard_integral(f, alpha, t, nodes=nodes, endpoint_exponent=g)
+                    record(r.value, r.estimated_error, r.nodes_used)
+        for alpha in (0.25, 0.5, 0.75):
+            for t in (2.0, 8.0):
+                r = hadamard_derivative(np.exp, alpha, t, nodes=nodes)
+                record(r.value, r.estimated_error, r.nodes_used)
+        for alpha, beta in ((0.3, 0.7), (1.2, 0.8)):
+            for t in (2.0, 5.0):
+                record(semigroup_residual(np.sqrt, alpha, beta, t, n=nodes))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_operator_results_keep_their_bits():
+    assert _operator_bits() == OPERATOR_BITS_SHA256
