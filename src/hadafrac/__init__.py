@@ -45,7 +45,7 @@ from .inequalities import (
     ratio_bound_constant,
     young_pointwise_check,
 )
-from .jacobi import MIN_RULE_ALPHA, QuadratureRule, build_jacobi_rule, jacobi_rule_01
+from .jacobi import MIN_RULE_ALPHA, build_jacobi_rule, jacobi_rule_01
 from .operators import (
     OperatorResult,
     hadamard_derivative,
@@ -83,7 +83,6 @@ __all__ = [
     "OperatorResult",
     "PiecewiseLogPoly",
     "QuadratureError",
-    "QuadratureRule",
     "RoughnessWarning",
     "RunSummary",
     "TheoremId",

@@ -28,6 +28,7 @@ from .errors import (
     EnvelopeError,
     ExprError,
     QuadratureError,
+    check_real,
 )
 from .expressions import as_function, parse_expr
 from .fuzzing import FuzzConfig, run_fuzz
@@ -156,15 +157,17 @@ def _cmd_derive(args):
 
 
 def _cmd_powercheck(args):
-    if args.max_beta <= 0.0 or args.max_alpha <= 0.0:
+    max_beta = check_real("--max-beta", args.max_beta)
+    max_alpha = check_real("--max-alpha", args.max_alpha)
+    if max_beta <= 0.0 or max_alpha <= 0.0:
         raise DomainError("powercheck ranges must be positive")
     worst = 0.0
     cases = 0
     for beta in _POWER_BETAS:
-        if beta > args.max_beta:
+        if beta > max_beta:
             continue
         for alpha in _POWER_ALPHAS:
-            if alpha > args.max_alpha:
+            if alpha > max_alpha:
                 continue
             for t in _POWER_TS:
                 exact = power_rule_integral(beta, alpha, t)

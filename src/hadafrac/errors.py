@@ -1,11 +1,29 @@
-"""Exception hierarchy, and the integer test, shared across the package."""
+"""Exception hierarchy, and the argument checks, shared across the package."""
+
+import math
 
 import numpy as np
 
 
-def is_int(value):
-    """Whether value is a Python or NumPy integer; bool does not count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def check_real(name, value):
+    """`value` as a finite float, or DomainError naming the argument; strings
+    and bools are refused, even where float() would take them."""
+    out = math.nan
+    if isinstance(value, float) or not isinstance(value, (str, bytes, bytearray, bool)):
+        try:
+            out = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if not math.isfinite(out):
+        raise DomainError(f"{name} must be a finite real number, got {value!r}")
+    return out
+
+
+def check_int(name, value, lo, hi):
+    """`value` as an int in [lo, hi] (bools refused), or DomainError naming it."""
+    if not ((type(value) is int or isinstance(value, np.integer)) and lo <= value <= hi):
+        raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 class HadafracError(Exception):

@@ -18,12 +18,17 @@ numbers and the like) instead of letting NaN or infinity propagate.
 
 from dataclasses import dataclass
 import math
+import re
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ExprEvalError, ExprSyntaxError
 
 MAX_SOURCE_BYTES = 64 * 1024
+
+# Deepest tree, and nesting of brackets, calls and exponents, parse_expr takes.
+_MAX_DEPTH = 100
 
 FUNCTIONS = ("ln", "exp", "sqrt", "abs", "sin", "cos")
 
@@ -58,57 +63,30 @@ class Binary:
 Node = Const | Var | Unary | Binary
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUM | NAME | one of + - * / ^ ( ) , | END
     text: str
     offset: int
 
 
+# A number, a name, a symbol, blanks, or any other character.
+_TOKEN = re.compile(
+    r"(?P<NUM>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<NAME>[A-Za-z]+)|(?P<SYM>[-+*/^(),])"
+    r"|(?P<BLANK>[ \t\r\n]+)|(?P<BAD>.)",
+    re.ASCII | re.DOTALL,
+)
+
+
 def _tokenize(text):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ord(ch) > 127:
-            raise ExprSyntaxError(
-                f"non-ASCII character {ch!r} at offset {i}", i, frozenset()
-            )
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            tokens.append(_Token("NUM", text[start:i], start))
-            continue
-        if ch.isalpha():
-            start = i
-            while i < n and text[i].isalpha():
-                i += 1
-            tokens.append(_Token("NAME", text[start:i], start))
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(
-            f"unexpected character {ch!r} at offset {i}", i, frozenset()
-        )
-    tokens.append(_Token("END", "", n))
+    for match in _TOKEN.finditer(text):
+        kind, word, i = match.lastgroup, match[0], match.start()
+        if kind == "BAD":
+            what = "non-ASCII" if ord(word) > 127 else "unexpected"
+            raise ExprSyntaxError(f"{what} character {word!r} at offset {i}", i, frozenset())
+        if kind != "BLANK":
+            tokens.append(_Token(word if kind == "SYM" else kind, word, i))
+    tokens.append(_Token("END", "", len(text)))
     return tokens
 
 
@@ -116,6 +94,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -134,6 +113,15 @@ class _Parser:
             tok.offset,
             frozenset(expected),
         )
+
+    def nested(self, parse):
+        """parse() one level deeper; ExprSyntaxError past _MAX_DEPTH levels."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise _too_deep(self.peek().offset)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def expr(self):
         node = self.term()
@@ -159,7 +147,7 @@ class _Parser:
         node = self.atom()
         if self.peek().kind == "^":
             self.take()
-            node = Binary("pow", node, self.factor())
+            node = Binary("pow", node, self.nested(self.factor))
         return node
 
     def atom(self):
@@ -177,7 +165,7 @@ class _Parser:
                 if self.peek().kind != "(":
                     self.fail({"("})
                 self.take()
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 if self.peek().kind == ",":
                     raise ExprSyntaxError(
                         f"{tok.text} takes exactly one argument (offset "
@@ -196,7 +184,7 @@ class _Parser:
             )
         if tok.kind == "(":
             self.take()
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.peek().kind != ")":
                 self.fail({")"})
             self.take()
@@ -217,7 +205,23 @@ def parse_expr(text):
     node = parser.expr()
     if parser.peek().kind != "END":
         parser.fail({"+", "-", "*", "/", "^", "end of input"})
+    # Each node takes a token, so only a long expression can be too deep.
+    if len(parser.tokens) > _MAX_DEPTH:
+        _check_height(node, _MAX_DEPTH)
     return node
+
+
+def _too_deep(offset):
+    return ExprSyntaxError(f"expression deeper than {_MAX_DEPTH} levels", offset, frozenset())
+
+
+def _check_height(node, levels):
+    """Raise ExprSyntaxError if the tree under `node` has over `levels` levels."""
+    if levels < 1:
+        raise _too_deep(0)
+    for child in vars(node).values():
+        if isinstance(child, Node):
+            _check_height(child, levels - 1)
 
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}

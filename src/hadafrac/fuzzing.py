@@ -20,14 +20,14 @@ trial result and judged like every other trial, at rel_tol (default
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import inequalities
-from .errors import DomainError, is_int
+from .errors import DomainError, check_int, check_real
+from .gammafn import GAMMA_MAX_ARG
 from .inequalities import (
     REL_TOL,
     BoundingQuadruple,
@@ -37,6 +37,7 @@ from .inequalities import (
     TheoremId,
     _check_rel_tol,
 )
+from .jacobi import MAX_RULE_NODES
 from .randfuncs import ConstantFunction, random_bounded_function
 
 # Orders are drawn from this grid so the node caches amortize across trials.
@@ -66,33 +67,43 @@ class FuzzConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "theorem_id", TheoremId(self.theorem_id))
-        _check_seed("master_seed", self.master_seed)
-        if not is_int(self.trials) or self.trials < 1:
-            raise DomainError(f"trials must be an integer of at least 1, got {self.trials!r}")
+        check_int("master_seed", self.master_seed, -math.inf, math.inf)
+        check_int("trials", self.trials, 1, math.inf)
         _check_rel_tol(self.rel_tol)
-        for name in ("alpha_range", "beta_range"):
-            lo, hi = _real_pair(name, getattr(self, name))
-            if not (MIN_FUZZ_ORDER <= lo <= hi < math.inf):
-                raise DomainError(
-                    f"{name} must satisfy {MIN_FUZZ_ORDER:g} <= lo <= hi < inf, "
-                    f"got ({lo:g}, {hi:g})"
-                )
-        lo, hi = _real_pair("t_range", self.t_range)
-        if not (1.0 < lo <= hi < math.inf):
-            raise DomainError(f"t_range must satisfy 1 < lo <= hi < inf, got ({lo:g}, {hi:g})")
-        if not is_int(self.nodes) or self.nodes < 2:
-            raise DomainError(f"nodes must be an integer of at least 2, got {self.nodes!r}")
+        _check_ranges(self.alpha_range, self.beta_range, self.t_range)
+        check_int("nodes", self.nodes, 2, MAX_RULE_NODES)
 
 
 def _real_pair(name, bounds):
-    """The two numbers of a (lo, hi) range, or DomainError."""
+    """The two numbers of a (lo, hi) range as floats, or DomainError."""
     try:
         lo, hi = bounds
     except (TypeError, ValueError):
-        lo = hi = None
-    if not all(isinstance(v, numbers.Real) for v in (lo, hi)):
-        raise DomainError(f"{name} must be a pair of real numbers, got {bounds!r}")
-    return lo, hi
+        raise DomainError(f"{name} must be a pair of real numbers, got {bounds!r}") from None
+    return check_real(name, lo), check_real(name, hi)
+
+
+def _order_span(name, bounds):
+    """(k_lo, k_hi + 1) for the grid orders ORDER_GRID_STEP * k in bounds."""
+    lo, hi = _real_pair(name, bounds)
+    if MIN_FUZZ_ORDER <= lo <= hi <= GAMMA_MAX_ARG:
+        k_lo = math.ceil(round(lo / ORDER_GRID_STEP, 9))
+        k_hi = math.floor(round(hi / ORDER_GRID_STEP, 9))
+        if k_lo <= k_hi:
+            return k_lo, k_hi + 1
+    raise DomainError(
+        f"{name} must hold a multiple of {ORDER_GRID_STEP:g} "
+        f"in [{MIN_FUZZ_ORDER:g}, {GAMMA_MAX_ARG:g}], got {bounds!r}"
+    )
+
+
+def _check_ranges(alpha_range, beta_range, t_range):
+    """The grid spans of the two order ranges, and t_range as floats."""
+    spans = _order_span("alpha_range", alpha_range), _order_span("beta_range", beta_range)
+    lo, hi = _real_pair("t_range", t_range)
+    if not 1.0 < lo <= hi:
+        raise DomainError(f"t_range must satisfy 1 < lo <= hi, got ({lo:g}, {hi:g})")
+    return *spans, (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -117,23 +128,10 @@ class RunSummary:
     wall_time: float
 
 
-def _check_seed(name, value):
-    if not is_int(value):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def trial_seed(master_seed, index):
     """Seed of trial `index` in a run started from `master_seed`."""
-    _check_seed("master_seed", master_seed)
-    _check_seed("index", index)
-    return (int(master_seed) + int(index)) & _SEED_MASK
-
-
-def _draw_order(rng, bounds):
-    lo, hi = bounds
-    k_lo = math.ceil(round(lo / ORDER_GRID_STEP, 9))
-    k_hi = math.floor(round(hi / ORDER_GRID_STEP, 9))
-    return ORDER_GRID_STEP * int(rng.integers(k_lo, k_hi + 1))
+    master_seed = check_int("master_seed", master_seed, -math.inf, math.inf)
+    return (master_seed + check_int("index", index, -math.inf, math.inf)) & _SEED_MASK
 
 
 def _draw_band(rng):
@@ -214,10 +212,11 @@ def run_trial(theorem_id, seed, *, alpha_range=(MIN_FUZZ_ORDER, 2.5),
     Every trial, kinked or not, is judged at rel_tol.
     """
     check, family, order_count = _TRIALS[TheoremId(theorem_id)]
-    _check_seed("seed", seed)
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
-    alpha = _draw_order(rng, alpha_range)
-    beta = _draw_order(rng, beta_range)
+    seed = check_int("seed", seed, -math.inf, math.inf)
+    alpha_span, beta_span, t_range = _check_ranges(alpha_range, beta_range, t_range)
+    rng = np.random.Generator(np.random.Philox(key=seed & _SEED_MASK))
+    alpha = ORDER_GRID_STEP * int(rng.integers(*alpha_span))
+    beta = ORDER_GRID_STEP * int(rng.integers(*beta_span))
     t = float(rng.uniform(*t_range))
     saturating = bool(rng.uniform() < SATURATION_RATE)
     if saturating:
@@ -234,7 +233,7 @@ def run_trial(theorem_id, seed, *, alpha_range=(MIN_FUZZ_ORDER, 2.5),
     kinked = any(getattr(f, "clipped", False) for f in (x_fn, y_fn))
     report = getattr(inequalities, check)(
         x_fn, y_fn, *hypothesis, *(alpha, beta)[:order_count], t,
-        nodes=nodes, rel_tol=rel_tol, seed=int(seed),
+        nodes=nodes, rel_tol=rel_tol, seed=seed,
     )
     return report, kinked
 

@@ -1,14 +1,14 @@
 """Gamma function on the positive real axis.
 
 Self-contained Lanczos evaluation, accurate to better than 1e-13 relative
-over the supported domain (0, 170].  Orders and exponents used elsewhere in
+over the supported domain [2.2e-308, 170].  Orders and exponents used elsewhere in
 the package are all positive, so no reflection formula is needed: arguments
 below 1/2 are lifted with the recurrence Gamma(z) = Gamma(z+1)/z.
 """
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_real
 
 # Largest argument whose Gamma value fits in a double (Gamma(171) overflows).
 GAMMA_MAX_ARG = 170.0
@@ -31,18 +31,16 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def gamma(z: float) -> float:
-    """Gamma(z) for real z in (0, 170].
+    """Gamma(z) for real z in [2.2e-308, 170].
 
-    Raises DomainError outside that range.  The upper cap guards double
-    overflow; nothing in the package needs larger arguments.
+    Raises DomainError outside that range.  Both caps guard double
+    overflow; nothing in the package needs arguments beyond them.
     """
-    z = float(z)
-    if not z > 0.0:
-        raise DomainError(f"gamma requires a strictly positive argument, got {z!r}")
-    if z > GAMMA_MAX_ARG:
-        raise DomainError(
-            f"gamma argument {z!r} exceeds {GAMMA_MAX_ARG:g} (double overflow)"
-        )
+    z = check_real("gamma argument", z)
+    # The floor is the smallest normal double: Gamma(z), about 1/z near 0,
+    # overflows below 5.6e-309.
+    if not 2.2250738585072014e-308 <= z <= GAMMA_MAX_ARG:
+        raise DomainError(f"gamma argument {z!r} lies outside [2.2e-308, {GAMMA_MAX_ARG:g}]")
     if z < 0.5:
         # Shift into the Lanczos range; z+1 < 1.5 so no precision is lost.
         return _lanczos(z + 1.0) / z

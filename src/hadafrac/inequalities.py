@@ -33,12 +33,11 @@ offending point.
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EnvelopeError, QuadratureError
+from .errors import DomainError, EnvelopeError, QuadratureError, check_int, check_real
 from .operators import Measure, _eval_on, power_rule_integral
 
 REL_TOL = 1e-9
@@ -67,6 +66,10 @@ class TheoremId(str, enum.Enum):
     YOUNG = "YOUNG"
     POWMEAN = "POWMEAN"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown theorem id {value!r}, not one of {[m.value for m in cls]}")
+
 
 @dataclass(frozen=True)
 class BoundingQuadruple:
@@ -88,9 +91,10 @@ class ConstantBounds:
     N_hi: float
 
     def __post_init__(self):
-        if not (0.0 < self.m <= self.M < math.inf):
+        _check_fields(self)
+        if not (0.0 < self.m <= self.M):
             raise DomainError(f"need 0 < m <= M, got m={self.m:g}, M={self.M:g}")
-        if not (0.0 < self.n_lo <= self.N_hi < math.inf):
+        if not (0.0 < self.n_lo <= self.N_hi):
             raise DomainError(
                 f"need 0 < n_lo <= N_hi, got n_lo={self.n_lo:g}, N_hi={self.N_hi:g}"
             )
@@ -104,6 +108,7 @@ class HolderPair:
     q: float
 
     def __post_init__(self):
+        _check_fields(self)
         if not (self.p > 1.0 and self.q > 1.0):
             raise DomainError(f"need p, q > 1, got p={self.p:g}, q={self.q:g}")
         if abs(1.0 / self.p + 1.0 / self.q - 1.0) > HOLDER_TOL:
@@ -114,7 +119,7 @@ class HolderPair:
     @classmethod
     def conjugate(cls, p):
         """Build the pair (p, p / (p - 1)) from a single exponent p > 1."""
-        p = float(p)
+        p = check_real("p", p)
         if p <= 1.0:
             raise DomainError(f"need p > 1, got {p:g}")
         return cls(p, p / (p - 1.0))
@@ -140,14 +145,23 @@ class InequalityReport:
     seed: int | None = None
 
 
+def _check_fields(record):
+    """Store each field of a frozen dataclass as a finite float, or DomainError."""
+    for name in record.__dataclass_fields__:
+        object.__setattr__(record, name, check_real(name, getattr(record, name)))
+
+
 def _check_rel_tol(rel_tol):
-    # An infinite or NaN tolerance would pass every check vacuously.
-    if not (isinstance(rel_tol, numbers.Real) and 0.0 <= rel_tol < math.inf):
-        raise DomainError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
+    rel_tol = check_real("rel_tol", rel_tol)
+    if rel_tol < 0.0:
+        raise DomainError(f"rel_tol must be >= 0, got {rel_tol!r}")
+    return rel_tol
 
 
 def _report(theorem_id, lhs, bound, params, seed, rel_tol):
-    _check_rel_tol(rel_tol)
+    rel_tol = _check_rel_tol(rel_tol)
+    if seed is not None:
+        seed = check_int("seed", seed, -math.inf, math.inf)
     lhs = float(lhs)
     bound = float(bound)
     if not (math.isfinite(lhs) and math.isfinite(bound)):
@@ -380,10 +394,9 @@ def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64, rel_tol=REL_TOL, se
     satisfies lhs <= mid <= bound pointwise in exact arithmetic; it is
     recorded in params["young_mid"] so the chain can be audited.
     """
-    m = float(m)
-    M = float(M)
-    if not (0.0 < m < M < math.inf):
-        raise DomainError(f"need 0 < m < M < inf, got m={m:g}, M={M:g}")
+    m, M = check_real("m", m), check_real("M", M)
+    if not (0.0 < m < M):
+        raise DomainError(f"need 0 < m < M, got m={m:g}, M={M:g}")
     tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require(tau, "y", (yv > 0.0, "function is not strictly positive"))
     ratio = xv / yv
@@ -413,9 +426,9 @@ def young_pointwise_check(x, y, hp, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed
 @_finite
 def power_mean_check(x, y, r, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
     """Power-mean check (POWMEAN): I^a{(x+y)^r} <= 2^(r-1) I^a{x^r + y^r}."""
-    r = float(r)
-    if not 1.0 < r < math.inf:
-        raise DomainError(f"need finite r > 1, got {r:g}")
+    r = check_real("r", r)
+    if not r > 1.0:
+        raise DomainError(f"need r > 1, got {r:g}")
     tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require_signs(tau, xv, yv)
     bound = 2.0 ** (r - 1.0) * ia(xv**r + yv**r)

@@ -10,13 +10,12 @@ three-term recurrence in double and then extended precision; the weights
 come from the classical closed form evaluated at the polished nodes.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 import math
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, check_int, check_real
 from .gammafn import GAMMA_MAX_ARG
 
 # Smallest integral order for which rule construction is certifiable.  The
@@ -30,24 +29,6 @@ MIN_RULE_ALPHA = 0.05
 # memory (a few hundred MB at this size), so larger requests are refused
 # up front instead of exhausting memory.
 MAX_RULE_NODES = 4096
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for the weight s**(alpha-1) on [0, 1].
-
-    Invariants (checked at construction): nodes strictly increasing inside
-    (0, 1), weights all positive, and the weights sum to 1/alpha, the total
-    mass of the weight function.
-    """
-
-    alpha: float
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
 
 
 def _jacobi_eval_vec(
@@ -121,7 +102,8 @@ def _jacobi_roots(n: int, a: float, b: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1024)
+# typed: 4 and 4.0 are equal keys, and only the first is a valid size.
+@lru_cache(maxsize=1024, typed=True)
 def jacobi_rule_01(n: int, zero_exponent: float, one_exponent: float = 0.0):
     """Gauss rule for the weight s**zero_exponent * (1-s)**one_exponent on [0, 1].
 
@@ -129,14 +111,11 @@ def jacobi_rule_01(n: int, zero_exponent: float, one_exponent: float = 0.0):
     polynomial integrands of degree <= 2n-1 against that weight.  Results are
     cached; both arrays are read-only.
     """
-    if not 1 <= n <= MAX_RULE_NODES:
-        raise DomainError(f"need 1 to {MAX_RULE_NODES} nodes, got n={n}")
-    if not (math.isfinite(zero_exponent) and math.isfinite(one_exponent)):
-        raise DomainError("endpoint exponents must be finite")
-    if zero_exponent <= -1.0 or one_exponent <= -1.0:
+    n = check_int("nodes", n, 1, MAX_RULE_NODES)
+    b = check_real("zero_exponent", zero_exponent)
+    a = check_real("one_exponent", one_exponent)  # (1-x)^a side maps to the s=1 endpoint
+    if a <= -1.0 or b <= -1.0:
         raise DomainError("endpoint exponents must exceed -1 for integrability")
-    a = float(one_exponent)  # (1-x)^a side maps to the s=1 endpoint
-    b = float(zero_exponent)
     x = _jacobi_roots(n, a, b)
     # Double-precision roots near x = -1 carry a relative placement error of
     # order eps/(1+x) in the local coordinate, and the weights inherit it.
@@ -176,9 +155,8 @@ def jacobi_rule_01(n: int, zero_exponent: float, one_exponent: float = 0.0):
 
 
 def check_rule_order(alpha, n):
-    """Raise DomainError unless alpha and n are an order and size of rule
-    that the operators may use (n above MAX_RULE_NODES is left to
-    jacobi_rule_01)."""
+    """(alpha, n) as (float, int), or DomainError unless the operators may use that rule."""
+    alpha = check_real("alpha", alpha)
     if not MIN_RULE_ALPHA <= alpha <= GAMMA_MAX_ARG:
         # Below the floor the endpoint clustering makes rule quality not
         # certifiable; above the ceiling Gamma(alpha), which every operator
@@ -186,18 +164,17 @@ def check_rule_order(alpha, n):
         raise DomainError(
             f"order alpha must lie in [{MIN_RULE_ALPHA:g}, {GAMMA_MAX_ARG:g}], got {alpha!r}"
         )
-    if n < 2:
-        raise DomainError(f"need at least two nodes, got n={n}")
+    return alpha, check_int("nodes", n, 2, MAX_RULE_NODES)
 
 
-@lru_cache(maxsize=512)
-def build_jacobi_rule(alpha: float, n: int) -> QuadratureRule:
-    """Rule for the weight s**(alpha-1) on [0, 1] with n nodes.
+@lru_cache(maxsize=512, typed=True)
+def build_jacobi_rule(alpha: float, n: int):
+    """Rule (nodes, weights) for the weight s**(alpha-1) on [0, 1] with n nodes.
 
-    Exact for polynomial integrands of degree <= 2n-1.  The rule depends only
-    on (alpha, n), so it is cached and shared; instances are immutable.
+    Exact for polynomial integrands of degree <= 2n-1; the weights sum to
+    1/alpha.  Cached and shared per (alpha, n); both arrays are read-only.
     """
-    check_rule_order(alpha, n)
+    alpha, n = check_rule_order(alpha, n)
     s, w = jacobi_rule_01(n, alpha - 1.0)
     total = w.sum()
     # Construction sanity check: the exact weight sum is 1/alpha.  The 1e-12
@@ -212,4 +189,4 @@ def build_jacobi_rule(alpha: float, n: int) -> QuadratureRule:
             f"weight sum {float(total)!r} deviates from 1/alpha={1.0 / alpha!r} "
             f"by more than {tol:g} for alpha={alpha:g}, n={n}"
         )
-    return QuadratureRule(alpha=float(alpha), nodes=s, weights=w)
+    return s, w

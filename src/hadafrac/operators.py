@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, RoughnessWarning, is_int
+from .errors import DomainError, QuadratureError, RoughnessWarning, check_int, check_real
 from .gammafn import gamma
 from .jacobi import MIN_RULE_ALPHA, build_jacobi_rule, check_rule_order, jacobi_rule_01
 
@@ -28,6 +28,9 @@ import warnings
 # Largest admissible mesh grading exponent; beyond this the first cell width
 # underflows for practical mesh sizes.
 _MAX_GRADING = 40.0
+
+# Largest graded mesh, in cells; larger requests are refused up front.
+_MAX_MESH_CELLS = 2**16
 
 # Relative step for the central difference inside the derivative operator.
 _FD_REL_STEP = 1e-5
@@ -51,18 +54,8 @@ class OperatorResult:
     nodes_used: int
 
 
-def _as_float(name, value):
-    try:
-        out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
-    if not math.isfinite(out):
-        raise DomainError(f"{name} must be finite, got {out!r}")
-    return out
-
-
 def _check_t(t):
-    t = _as_float("t", t)
+    t = check_real("t", t)
     if t < 1.0:
         raise DomainError(f"evaluation point t must satisfy t >= 1, got {t:g}")
     return t
@@ -109,18 +102,12 @@ class Measure:
 
     def __init__(self, alpha, t, n, endpoint_exponent=0.0):
         t = _check_t(t)
-        alpha = _as_float("alpha", alpha)
-        if not is_int(n):
-            raise DomainError(f"nodes must be an integer, got {n!r}")
-        g = _as_float("endpoint_exponent", endpoint_exponent)
-        if g <= -1.0:
-            raise DomainError(f"endpoint exponent must exceed -1 for integrability, got {g:g}")
+        alpha, n = check_rule_order(alpha, n)
+        g = check_real("endpoint_exponent", endpoint_exponent)
         if g == 0.0:
-            rule = build_jacobi_rule(alpha, int(n))
-            self.nodes, self.weights = rule.nodes, rule.weights
+            self.nodes, self.weights = build_jacobi_rule(alpha, n)
         else:
-            check_rule_order(alpha, n)
-            s, w = jacobi_rule_01(int(n), alpha - 1.0, g)
+            s, w = jacobi_rule_01(n, alpha - 1.0, g)
             self.nodes, self.weights = s, w / (1.0 - s) ** g
         self.alpha, self.t, self.endpoint_exponent = alpha, t, g
         try:
@@ -200,13 +187,11 @@ def hadamard_integral_graded(f, alpha, t, n=512):
     graded toward u = 0.  Second-order accurate in 1/n for smooth f; the
     estimated error is the Richardson difference against the half mesh.
     """
-    alpha = _as_float("alpha", alpha)
+    alpha = check_real("alpha", alpha)
     if alpha <= 0.0:
         raise DomainError(f"order alpha must be positive, got {alpha:g}")
     t = _check_t(t)
-    if not is_int(n) or n < 8:
-        raise DomainError(f"mesh size must be an integer >= 8, got {n!r}")
-    n = int(n)
+    n = check_int("mesh size n", n, 8, _MAX_MESH_CELLS)
     if t == 1.0:
         return OperatorResult(value=0.0, estimated_error=0.0, nodes_used=n + 1)
     length = math.log(t)
@@ -216,46 +201,53 @@ def hadamard_integral_graded(f, alpha, t, n=512):
         tau = np.minimum(t, np.maximum(1.0, t * np.exp(-u)))
         return _product_trapezoid(_eval_on(f, tau), u, alpha) / gamma(alpha)
 
-    value = apply(n)
-    err = abs(value - apply(n // 2)) / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):  # high-order cell moments overflow
+        value = apply(n)
+        err = abs(value - apply(n // 2)) / 3.0
+    if not math.isfinite(value + err):
+        raise QuadratureError(f"graded integral overflows for alpha={alpha:g}, t={t:g}")
     return OperatorResult(value=value, estimated_error=err, nodes_used=n + 1)
 
 
 def power_rule_integral(beta, alpha, t):
     """Closed form of the integral of order alpha applied to ln(tau)^(beta-1).
 
-    Equals Gamma(beta)/Gamma(beta+alpha) * ln(t)^(beta+alpha-1).
+    Equals Gamma(beta)/Gamma(beta+alpha) * ln(t)^(beta+alpha-1), or else
+    QuadratureError where that overflows.
     """
-    beta = _as_float("beta", beta)
-    alpha = _as_float("alpha", alpha)
+    beta = check_real("beta", beta)
+    alpha = check_real("alpha", alpha)
     if beta <= 0.0:
         raise DomainError(f"exponent parameter beta must be positive, got {beta:g}")
     t = _check_t(t)
     exponent = beta + alpha - 1.0
     if t == 1.0 and exponent < 0.0:
-        raise DomainError("closed form diverges at t = 1 for beta + alpha < 1")
-    return gamma(beta) / gamma(beta + alpha) * math.log(t) ** exponent
+        raise DomainError(f"closed form diverges at t = 1 for the exponent {exponent:g} < 0")
+    try:
+        value = gamma(beta) / gamma(beta + alpha) * math.log(t) ** exponent
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise QuadratureError(f"closed form overflows for beta={beta:g}, alpha={alpha:g}, t={t:g}")
+    return value
 
 
 def power_rule_derivative(beta, alpha, t):
     """Closed form of the derivative of order alpha applied to ln(tau)^(beta-1).
 
-    Equals Gamma(beta)/Gamma(beta-alpha) * ln(t)^(beta-alpha-1); requires
-    beta > alpha so the image stays in the same family.
+    Equals Gamma(beta)/Gamma(beta-alpha) * ln(t)^(beta-alpha-1), the integral's
+    at order -alpha; requires beta > alpha so the image stays in the family.
     """
-    beta = _as_float("beta", beta)
-    alpha = _as_float("alpha", alpha)
+    beta = check_real("beta", beta)
+    alpha = check_real("alpha", alpha)
     if alpha <= 0.0:
         raise DomainError(f"order alpha must be positive, got {alpha:g}")
     if beta <= alpha:
         raise DomainError(
             f"need beta > alpha for the closed form, got beta={beta:g}, alpha={alpha:g}"
         )
-    t = _check_t(t)
-    exponent = beta - alpha - 1.0
-    if t == 1.0 and exponent < 0.0:
-        raise DomainError("closed form diverges at t = 1 for beta - alpha < 1")
-    return gamma(beta) / gamma(beta - alpha) * math.log(t) ** exponent
+    # beta + (-alpha) rounds exactly as beta - alpha does.
+    return power_rule_integral(beta, -alpha, t)
 
 
 def hadamard_derivative(f, alpha, t, nodes=64):
@@ -266,16 +258,11 @@ def hadamard_derivative(f, alpha, t, nodes=64):
     beyond 0.1% raises RoughnessWarning, signalling that f is not smooth
     enough near t for the step size in use.
     """
-    alpha = _as_float("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
+    alpha = check_real("alpha", alpha)
+    if not 0.0 < alpha <= 1.0 - MIN_RULE_ALPHA:
         raise DomainError(
-            f"derivative order must lie in (0, 1), got {alpha:g}"
-        )
-    if 1.0 - alpha < MIN_RULE_ALPHA:
-        raise DomainError(
-            f"derivative orders above {1.0 - MIN_RULE_ALPHA:g} need a "
-            f"complementary rule of order below {MIN_RULE_ALPHA:g}, which is "
-            "not certifiable"
+            f"derivative order must lie in (0, {1.0 - MIN_RULE_ALPHA:g}], got {alpha:g}: above, "
+            f"the complementary rule of order below {MIN_RULE_ALPHA:g} is not certifiable"
         )
     t = _check_t(t)
     if t == 1.0:
@@ -317,29 +304,26 @@ def semigroup_residual(f, alpha, beta, t, n=64):
     upper endpoint into its weight, keeping the composed route spectrally
     accurate.  Returns |nested - direct| / max(1, |direct|).
     """
-    alpha = _as_float("alpha", alpha)
-    beta = _as_float("beta", beta)
-    if alpha < MIN_RULE_ALPHA:
-        raise DomainError(
-            f"outer order alpha must be >= {MIN_RULE_ALPHA:g}, got {alpha:g}"
-        )
+    alpha = check_real("alpha", alpha)
+    beta = check_real("beta", beta)
     if beta <= 0.0:
         raise DomainError(f"inner order beta must be positive, got {beta:g}")
     t = _check_t(t)
-    if not is_int(n) or n < 16:
-        raise DomainError(f"semigroup check needs an integer n >= 16, got {n!r}")
-    n = int(n)
+    n = check_int("nodes", n, 16, math.inf)
     direct = hadamard_integral(f, alpha + beta, t, nodes=2 * n, estimate_error=False).value
+    outer = Measure(alpha, t, n, beta)
     if t == 1.0:
         return 0.0
-    outer = Measure(alpha, t, n, beta)
-    inner_rule = build_jacobi_rule(beta, n)
+    inner_nodes, inner_weights = build_jacobi_rule(beta, n)
     log_t = math.log(t)
     # tau_i = t^(1-s_i); inner arguments tau_i^(1-sigma_j) in one matrix.
     outer_exp = 1.0 - outer.nodes
-    inner_args = t ** np.outer(outer_exp, 1.0 - inner_rule.nodes)
+    inner_args = t ** np.outer(outer_exp, 1.0 - inner_nodes)
     inner_args = np.minimum(t, np.maximum(1.0, inner_args))
     fvals = _eval_on(f, inner_args)
     inner_pref = (outer_exp * log_t) ** beta / gamma(beta)
-    nested = outer.integral(inner_pref * (fvals @ inner_rule.weights))
+    # An overflow here reaches the integral as inf or nan, which
+    # Measure.integral reports as QuadratureError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nested = outer.integral(inner_pref * (fvals @ inner_weights))
     return abs(nested - direct) / max(1.0, abs(direct))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, is_int
+from .errors import DomainError, check_int, check_real
 
 # Functions are shaped over ln tau in [0, LOG_SPAN]; beyond the last
 # breakpoint the final piece extends, still clipped.
@@ -24,6 +24,9 @@ LOG_SPAN = 3.0
 
 MAX_PIECES = 16
 MAX_DEGREE = 4
+
+# Largest band edge: a draw stays within some hundred band widths of its band.
+_MAX_LEVEL = 1e300
 
 # Grid density over which the smooth draw measures its raw swing.
 _CLIP_SCAN_POINTS = 2048
@@ -41,6 +44,9 @@ class ConstantFunction:
     """Constant callable; doubles as an envelope whose level is inspectable."""
 
     value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", check_real("value", self.value))
 
     def __call__(self, tau):
         if np.isscalar(tau) or np.ndim(tau) == 0:
@@ -167,9 +173,14 @@ def _clips(ends, coeffs, lo, hi):
 
 def _generator(seed):
     """The counter-based generator keyed by an integer seed in [0, 2^128)."""
-    if not is_int(seed) or not 0 <= seed <= _MAX_SEED:
-        raise DomainError(f"seed must be an integer in [0, 2^128), got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=check_int("seed", seed, 0, _MAX_SEED)))
+
+
+def _check_band(lo, hi):
+    lo, hi = check_real("lo", lo), check_real("hi", hi)
+    if not 0.0 < lo < hi <= _MAX_LEVEL:
+        raise DomainError(f"need 0 < lo < hi <= {_MAX_LEVEL:g}, got lo={lo:g}, hi={hi:g}")
+    return lo, hi
 
 
 def random_bounded_function(seed, lo, hi, pieces, degree):
@@ -178,14 +189,9 @@ def random_bounded_function(seed, lo, hi, pieces, degree):
     Returns (fn, lo_envelope, hi_envelope) where lo <= fn(tau) <= hi holds
     pointwise by construction.  Deterministic in seed.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not 0.0 < lo < hi:
-        raise DomainError(f"need 0 < lo < hi, got lo={lo:g}, hi={hi:g}")
-    if not is_int(pieces) or not 1 <= pieces <= MAX_PIECES:
-        raise DomainError(f"pieces must be an integer in [1, {MAX_PIECES}], got {pieces!r}")
-    if not is_int(degree) or not 0 <= degree <= MAX_DEGREE:
-        raise DomainError(f"degree must be an integer in [0, {MAX_DEGREE}], got {degree!r}")
+    lo, hi = _check_band(lo, hi)
+    pieces = check_int("pieces", pieces, 1, MAX_PIECES)
+    degree = check_int("degree", degree, 0, MAX_DEGREE)
     rng = _generator(seed)
     interior = rng.uniform(0.0, LOG_SPAN, size=pieces - 1)
     interior.sort()
@@ -213,12 +219,8 @@ def random_smooth_function(seed, lo, hi, degree=4):
     never engages on the design span: the result is globally smooth, which
     the quadrature cross-checks require.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not 0.0 < lo < hi:
-        raise DomainError(f"need 0 < lo < hi, got lo={lo:g}, hi={hi:g}")
-    if not is_int(degree) or not 1 <= degree <= MAX_DEGREE:
-        raise DomainError(f"degree must be an integer in [1, {MAX_DEGREE}], got {degree!r}")
+    lo, hi = _check_band(lo, hi)
+    degree = check_int("degree", degree, 1, MAX_DEGREE)
     rng = _generator(seed)
     raw = rng.uniform(-1.0, 1.0, size=degree)
     u = np.linspace(0.0, LOG_SPAN, _CLIP_SCAN_POINTS)

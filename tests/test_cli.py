@@ -184,6 +184,12 @@ class TestFuzzCommand:
 
 
 class TestExitCodes:
+    def test_over_deep_expression_is_two(self, capsys):
+        code, out, err = run_cli(capsys, "integrate", "(" * 200 + "x" + ")" * 200, "0.5", "2")
+        assert code == 2
+        assert "deeper than" in err
+        assert out == ""
+
     def test_parse_error_is_two(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "1+", "1.0", "2.0")
         assert code == 2

@@ -223,6 +223,36 @@ def test_syntax_errors_carry_offset_and_expected():
         parse_expr("x " + "+ x " * (MAX_SOURCE_BYTES // 4))
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 200 + "x" + ")" * 200,
+    "abs(" * 250 + "x" + ")" * 250,
+    "+".join(["x"] * 5000),  # 10 KB, flat text, a tree 5,000 levels deep
+    "^".join(["x"] * 5000),
+])
+def test_over_deep_expressions_are_syntax_errors(text):
+    with pytest.raises(ExprSyntaxError, match="deeper than 100 levels"):
+        parse_expr(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 100 + "x" + ")" * 100,
+    "abs(" * 99 + "x" + ")" * 99,
+    "+".join(["x"] * 100),
+    "^".join(["x"] * 100),
+])
+def test_expressions_at_the_depth_cap_evaluate_and_serialize(text):
+    ast = parse_expr(text)
+    assert math.isfinite(eval_expr(ast, 1.0))
+    assert parse_expr(serialize(ast)) == ast
+
+
+@pytest.mark.parametrize("text, offset", [("8\u0663", 1), ("x\u00e9", 1), ("1 + \u03c0", 4)])
+def test_non_ascii_is_refused_inside_numbers_and_names(text, offset):
+    with pytest.raises(ExprSyntaxError, match="non-ASCII") as info:
+        parse_expr(text)
+    assert info.value.offset == offset
+
+
 def test_parsed_expression_integrates():
     from hadafrac.operators import hadamard_integral
 

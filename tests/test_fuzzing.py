@@ -172,7 +172,7 @@ class TestConfigValidation:
         assert config.theorem_id is TheoremId.T31
 
     def test_unknown_theorem_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             FuzzConfig(theorem_id="T99", trials=1)
 
     @pytest.mark.parametrize(

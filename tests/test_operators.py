@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from hadafrac.errors import DomainError, QuadratureError, RoughnessWarning
+from hadafrac.gammafn import gamma
 from hadafrac.operators import (
     OperatorResult,
     hadamard_derivative,
@@ -208,6 +209,36 @@ def test_at_left_endpoint_integral_vanishes():
     res = hadamard_integral(np.exp, 0.8, 1.0)
     assert res.value == 0.0 and res.estimated_error == 0.0
     assert hadamard_integral_graded(np.exp, 0.8, 1.0, 64).value == 0.0
+
+
+@pytest.mark.parametrize("beta, alpha, t", [
+    (100.0, 50.0, 1e300),  # ln(t)^149 overflows
+    (2.2250738585072014e-308, 0.5, 1.0000001),  # the product overflows
+])
+def test_power_rule_integral_overflow_is_a_quadrature_error(beta, alpha, t):
+    with pytest.raises(QuadratureError):
+        power_rule_integral(beta, alpha, t)
+
+
+def test_power_rule_derivative_overflow_is_a_quadrature_error():
+    with pytest.raises(QuadratureError):
+        power_rule_derivative(150.0, 0.5, 1e300)
+
+
+def test_power_rule_derivative_keeps_its_bits():
+    # The separate formula the derivative had before it took the integral's
+    # closed form at order -alpha.
+    for beta in (1.0, 1.5, 2.0, 3.0, 7.25):
+        for alpha in (0.1, 0.25, 0.5, 0.75, 0.95):
+            for t in (1.5, math.e, 10.0, 1e6):
+                old = gamma(beta) / gamma(beta - alpha) * math.log(t) ** (beta - alpha - 1.0)
+                assert power_rule_derivative(beta, alpha, t) == old
+
+
+def test_graded_overflow_is_a_quadrature_error():
+    # Cell moments u^(alpha+1) overflow for ln t = 690 at order 170; ln(tau) does not.
+    with pytest.raises(QuadratureError):
+        hadamard_integral_graded(np.log, 170.0, 1e300, 64)
 
 
 @pytest.mark.parametrize("bad_t", [0.5, 0.0, -2.0])
