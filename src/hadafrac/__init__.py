@@ -10,31 +10,18 @@ are generated correct by construction.
 from .errors import (
     DomainError,
     EnvelopeError,
-    ExprError,
     ExprEvalError,
     ExprSyntaxError,
     HadafracError,
     QuadratureError,
     RoughnessWarning,
 )
-from .expressions import as_function, eval_expr, parse_expr, serialize
-from .fuzzing import (
-    CSV_HEADER,
-    FuzzConfig,
-    RunSummary,
-    TrialResult,
-    format_csv_row,
-    run_fuzz,
-    run_trial,
-    trial_seed,
-)
-from .gammafn import GAMMA_MAX_ARG, gamma
+from .expressions import as_function, eval_expr, parse_expr
+from .fuzzing import FuzzConfig, run_fuzz, run_trial
 from .inequalities import (
     BoundingQuadruple,
     ConstantBounds,
     HolderPair,
-    InequalityReport,
-    TheoremId,
     constant_polya_szego,
     constant_polya_szego_two_order,
     minkowsky_related,
@@ -45,9 +32,7 @@ from .inequalities import (
     ratio_bound_constant,
     young_pointwise_check,
 )
-from .jacobi import MIN_RULE_ALPHA, build_jacobi_rule, jacobi_rule_01
 from .operators import (
-    OperatorResult,
     hadamard_derivative,
     hadamard_integral,
     hadamard_integral_graded,
@@ -55,49 +40,32 @@ from .operators import (
     power_rule_integral,
     semigroup_residual,
 )
-from .randfuncs import (
-    ConstantFunction,
-    PiecewiseLogPoly,
-    random_bounded_function,
-    random_smooth_function,
-)
+from .randfuncs import ConstantFunction, random_bounded_function, random_smooth_function
 
 __version__ = "0.1.0"
 
+# The names README.md documents under "Package-level names"; every other
+# name is imported from its own module.
 __all__ = [
     "BoundingQuadruple",
     "ConstantBounds",
     "ConstantFunction",
-    "CSV_HEADER",
     "DomainError",
     "EnvelopeError",
-    "ExprError",
     "ExprEvalError",
     "ExprSyntaxError",
     "FuzzConfig",
-    "GAMMA_MAX_ARG",
     "HadafracError",
     "HolderPair",
-    "InequalityReport",
-    "MIN_RULE_ALPHA",
-    "OperatorResult",
-    "PiecewiseLogPoly",
     "QuadratureError",
     "RoughnessWarning",
-    "RunSummary",
-    "TheoremId",
-    "TrialResult",
     "as_function",
-    "build_jacobi_rule",
     "constant_polya_szego",
     "constant_polya_szego_two_order",
     "eval_expr",
-    "format_csv_row",
-    "gamma",
     "hadamard_derivative",
     "hadamard_integral",
     "hadamard_integral_graded",
-    "jacobi_rule_01",
     "minkowsky_related",
     "parse_expr",
     "polya_szego_double",
@@ -112,7 +80,5 @@ __all__ = [
     "run_fuzz",
     "run_trial",
     "semigroup_residual",
-    "serialize",
-    "trial_seed",
     "young_pointwise_check",
 ]

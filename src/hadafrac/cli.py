@@ -138,19 +138,11 @@ def _require_converged(result, tol, what):
         )
 
 
-def _cmd_integrate(args):
+def _cmd_operator(args, operator, tol, what):
+    """integrate and derive: apply `operator` to the expression, gated at `tol`."""
     f = as_function(parse_expr(args.expr))
-    result = hadamard_integral(f, args.alpha, args.t, nodes=args.nodes)
-    _require_converged(result, INTEGRATE_CONVERGENCE_TOL, "integral")
-    print("%.15f" % result.value)
-    print("estimated error %.3g" % result.estimated_error)
-    return 0
-
-
-def _cmd_derive(args):
-    f = as_function(parse_expr(args.expr))
-    result = hadamard_derivative(f, args.alpha, args.t, nodes=args.nodes)
-    _require_converged(result, DERIVE_CONVERGENCE_TOL, "derivative")
+    result = operator(f, args.alpha, args.t, nodes=args.nodes)
+    _require_converged(result, tol, what)
     print("%.15f" % result.value)
     print("estimated error %.3g" % result.estimated_error)
     return 0
@@ -187,8 +179,6 @@ def _cmd_powercheck(args):
 
 
 def _log_power(beta):
-    if beta == 1.0:
-        return lambda tau: np.ones_like(np.asarray(tau, dtype=float))
     return lambda tau: np.log(tau) ** (beta - 1.0)
 
 
@@ -233,9 +223,14 @@ def _cmd_fuzz(args):
     return 0
 
 
+# Operators are looked up at call time, so a wrapper bound to their names sees every call.
 _COMMANDS = {
-    "integrate": _cmd_integrate,
-    "derive": _cmd_derive,
+    "integrate": lambda args: _cmd_operator(
+        args, hadamard_integral, INTEGRATE_CONVERGENCE_TOL, "integral"
+    ),
+    "derive": lambda args: _cmd_operator(
+        args, hadamard_derivative, DERIVE_CONVERGENCE_TOL, "derivative"
+    ),
     "powercheck": _cmd_powercheck,
     "semigroup": _cmd_semigroup,
     "fuzz": _cmd_fuzz,

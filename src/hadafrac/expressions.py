@@ -8,12 +8,13 @@ with ^ right-associative):
     factor := ("-")? power
     power  := atom ("^" factor)?
     atom   := NUMBER | "x" | "pi" | "e" | IDENT "(" expr ")" | "(" expr ")"
-    IDENT  := "ln" | "exp" | "sqrt" | "abs" | "sin" | "cos"
+    IDENT  := a name in FUNCTIONS
 
-The integration variable is written x.  Parsing reports byte offsets and the
-token set that would have been accepted; evaluation reports domain faults
-(log of a nonpositive value, division by zero, fractional powers of negative
-numbers and the like) instead of letting NaN or infinity propagate.
+The integration variable is written x, and a NUMBER must be finite as a
+double.  Parsing reports byte offsets and the token set that would have been
+accepted; evaluation reports domain faults (log of a nonpositive value,
+division by zero, fractional powers of negative numbers and the like)
+instead of letting NaN or infinity propagate.
 """
 
 from dataclasses import dataclass
@@ -30,11 +31,52 @@ MAX_SOURCE_BYTES = 64 * 1024
 # Deepest tree, and nesting of brackets, calls and exponents, parse_expr takes.
 _MAX_DEPTH = 100
 
-FUNCTIONS = ("ln", "exp", "sqrt", "abs", "sin", "cos")
+# Every node op: (NumPy function of the operand arrays, domain faults).  Each
+# fault is a test on the operands and the reason it gives, checked in order;
+# a result that is not finite is then reported as an overflow.
+_OPS = {
+    "neg": (np.negative, ()),
+    "ln": (np.log, ((lambda a: a <= 0.0, "logarithm of a nonpositive value"),)),
+    "exp": (np.exp, ()),
+    "sqrt": (np.sqrt, ((lambda a: a < 0.0, "square root of a negative value"),)),
+    "abs": (np.abs, ()),
+    "sin": (np.sin, ()),
+    "cos": (np.cos, ()),
+    "add": (np.add, ()),
+    "sub": (np.subtract, ()),
+    "mul": (np.multiply, ()),
+    "div": (np.divide, ((lambda a, b: b == 0.0, "division by zero"),)),
+    "pow": (np.power, (
+        (lambda a, b: (a < 0.0) & (b != np.floor(b)), "fractional power of a negative value"),
+        (lambda a, b: (a == 0.0) & (b < 0.0), "zero raised to a negative power"),
+    )),
+}
+
+
+class _Infix(NamedTuple):
+    op: str  # a key of _OPS
+    prec: int
+    text: str  # as serialize writes it
+
+
+# Binary operators by token.  The ones below unary minus are left-associative;
+# ^, above it, is right-associative and its right operand may be a bare factor.
+_INFIX = {
+    "+": _Infix("add", 1, " + "),
+    "-": _Infix("sub", 1, " - "),
+    "*": _Infix("mul", 2, "*"),
+    "/": _Infix("div", 2, "/"),
+    "^": _Infix("pow", 4, "^"),
+}
+_NEG_PREC = 3  # unary minus
+_BY_OP = {infix.op: infix for infix in _INFIX.values()}
+
+# The functions are the unary ops other than negation.
+FUNCTIONS = tuple(op for op in _OPS if op != "neg" and op not in _BY_OP)
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
-_ATOM_EXPECTED = frozenset({"NUMBER", "x", "pi", "e", "(", "-"} | set(FUNCTIONS))
+_ATOM_EXPECTED = frozenset({"NUMBER", "x", "(", "-", *_CONSTANTS, *FUNCTIONS})
 
 
 @dataclass(frozen=True)
@@ -49,13 +91,13 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # neg | ln | exp | sqrt | abs | sin | cos
+    op: str  # neg or a function name
     arg: "Node"
 
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # add | sub | mul | div | pow
+    op: str  # the op of an _INFIX entry
     lhs: "Node"
     rhs: "Node"
 
@@ -100,9 +142,7 @@ class _Parser:
         return self.tokens[self.pos]
 
     def take(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
 
     def fail(self, expected):
         tok = self.peek()
@@ -123,18 +163,13 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in "+-":
-            op = self.take().kind
-            node = Binary("add" if op == "+" else "sub", node, self.term())
-        return node
-
-    def term(self):
+    def expr(self, prec=1):
+        """Factors joined by operators of precedence >= prec, left-associative
+        (a factor never stops at ^, so only those below unary minus come up)."""
         node = self.factor()
-        while self.peek().kind in "*/":
-            op = self.take().kind
-            node = Binary("mul" if op == "*" else "div", node, self.factor())
+        while (infix := _INFIX.get(self.peek().kind)) is not None and infix.prec >= prec:
+            self.take()
+            node = Binary(infix.op, node, self.expr(infix.prec + 1))
         return node
 
     def factor(self):
@@ -147,14 +182,21 @@ class _Parser:
         node = self.atom()
         if self.peek().kind == "^":
             self.take()
-            node = Binary("pow", node, self.nested(self.factor))
+            node = Binary(_INFIX["^"].op, node, self.nested(self.factor))
         return node
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "NUM":
             self.take()
-            return Const(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(
+                    f"number {tok.text!r} at offset {tok.offset} overflows a double",
+                    tok.offset,
+                    frozenset(),
+                )
+            return Const(value)
         if tok.kind == "NAME":
             self.take()
             if tok.text == "x":
@@ -204,7 +246,7 @@ def parse_expr(text):
     parser = _Parser(_tokenize(text))
     node = parser.expr()
     if parser.peek().kind != "END":
-        parser.fail({"+", "-", "*", "/", "^", "end of input"})
+        parser.fail({*_INFIX, "end of input"})
     # Each node takes a token, so only a long expression can be too deep.
     if len(parser.tokens) > _MAX_DEPTH:
         _check_height(node, _MAX_DEPTH)
@@ -224,9 +266,6 @@ def _check_height(node, levels):
             _check_height(child, levels - 1)
 
 
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
-
-
 def serialize(node):
     """Render an AST back to source that reparses to an equal tree."""
     return _render(node, 0)
@@ -236,33 +275,23 @@ def _render(node, context):
     if isinstance(node, Const):
         if node.value < 0.0 or (node.value == 0.0 and math.copysign(1.0, node.value) < 0):
             return _render(Unary("neg", Const(-node.value)), context)
-        return repr(node.value) if node.value != int(node.value) else str(int(node.value))
+        # Only a tree built by hand holds inf or NaN; they render as repr does.
+        return str(int(node.value)) if float(node.value).is_integer() else repr(node.value)
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Unary):
         if node.op == "neg":
             # The operand of unary minus sits at power level in the grammar.
-            text = "-" + _render(node.arg, _PREC["pow"])
-            return f"({text})" if context > _PREC["neg"] else text
+            text = "-" + _render(node.arg, _INFIX["^"].prec)
+            return f"({text})" if context > _NEG_PREC else text
         return f"{node.op}({_render(node.arg, 0)})"
-    prec = _PREC[node.op]
-    symbol = {"add": " + ", "sub": " - ", "mul": "*", "div": "/", "pow": "^"}[node.op]
-    if node.op == "pow":
-        # Right-associative; the right operand may be a bare factor.
-        left = _render(node.lhs, prec + 1)
-        right = _render(node.rhs, _PREC["neg"])
+    infix = _BY_OP[node.op]
+    if infix.prec > _NEG_PREC:  # ^: right-associative, its right operand a bare factor
+        left, right = _render(node.lhs, infix.prec + 1), _render(node.rhs, _NEG_PREC)
     else:
-        left = _render(node.lhs, prec)
-        right = _render(node.rhs, prec + 1)
-    text = left + symbol + right
-    return f"({text})" if context > prec else text
-
-
-def _fault(node, values, mask, reason):
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    bad = np.atleast_1d(mask)
-    tau = float(arr[bad][0]) if arr.shape == bad.shape else float("nan")
-    raise ExprEvalError(reason, serialize(node), tau)
+        left, right = _render(node.lhs, infix.prec), _render(node.rhs, infix.prec + 1)
+    text = left + infix.text + right
+    return f"({text})" if context > infix.prec else text
 
 
 def _eval(node, x):
@@ -271,49 +300,17 @@ def _eval(node, x):
     if isinstance(node, Var):
         return x
     if isinstance(node, Unary):
-        arg = _eval(node.arg, x)
-        if node.op == "neg":
-            return -arg
-        if node.op == "ln":
-            if np.any(arg <= 0.0):
-                _fault(node, x, arg <= 0.0, "logarithm of a nonpositive value")
-            return np.log(arg)
-        if node.op == "sqrt":
-            if np.any(arg < 0.0):
-                _fault(node, x, arg < 0.0, "square root of a negative value")
-            return np.sqrt(arg)
-        if node.op == "exp":
-            out = np.exp(arg)
-            if not np.all(np.isfinite(out)):
-                _fault(node, x, ~np.isfinite(out), "overflow")
-            return out
-        if node.op == "abs":
-            return np.abs(arg)
-        if node.op == "sin":
-            return np.sin(arg)
-        return np.cos(arg)
-    lhs = _eval(node.lhs, x)
-    rhs = _eval(node.rhs, x)
-    if node.op == "add":
-        out = lhs + rhs
-    elif node.op == "sub":
-        out = lhs - rhs
-    elif node.op == "mul":
-        out = lhs * rhs
-    elif node.op == "div":
-        if np.any(rhs == 0.0):
-            _fault(node, x, rhs == 0.0, "division by zero")
-        out = lhs / rhs
+        args = (_eval(node.arg, x),)
     else:
-        neg_frac = (lhs < 0.0) & (rhs != np.floor(rhs))
-        if np.any(neg_frac):
-            _fault(node, x, neg_frac, "fractional power of a negative value")
-        zero_neg = (lhs == 0.0) & (rhs < 0.0)
-        if np.any(zero_neg):
-            _fault(node, x, zero_neg, "zero raised to a negative power")
-        out = lhs**rhs
-    if not np.all(np.isfinite(out)):
-        _fault(node, x, ~np.isfinite(out), "overflow")
+        args = (_eval(node.lhs, x), _eval(node.rhs, x))
+    fn, faults = _OPS[node.op]
+    for test, reason in faults:
+        bad = test(*args)
+        if bad.any():
+            raise ExprEvalError(reason, serialize(node), float(x[bad][0]))
+    out = fn(*args)
+    if not np.isfinite(out).all():
+        raise ExprEvalError("overflow", serialize(node), float(x[~np.isfinite(out)][0]))
     return out
 
 

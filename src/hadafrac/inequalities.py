@@ -188,13 +188,16 @@ def _finite(check):
     """Report a check's float overflow as QuadratureError.
 
     Python float arithmetic raises on overflow (x ** p) and on a division by
-    a product that underflowed to zero (m * n_lo of tiny bands).
+    a product that underflowed to zero (m * n_lo of tiny bands).  NumPy
+    arithmetic runs with its overflow warnings off: an overflowing array
+    reaches Measure.integral or _report as inf or NaN, and they raise.
     """
 
     @functools.wraps(check)
     def checked(*args, **kwargs):
         try:
-            return check(*args, **kwargs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return check(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:
             raise QuadratureError(f"{check.__name__}: {exc}") from exc
 

@@ -224,9 +224,7 @@ def random_smooth_function(seed, lo, hi, degree=4):
     rng = _generator(seed)
     raw = rng.uniform(-1.0, 1.0, size=degree)
     u = np.linspace(0.0, LOG_SPAN, _CLIP_SCAN_POINTS)
-    swing = np.zeros_like(u)
-    for c in raw[::-1]:
-        swing = swing * u + c
+    swing = _horner(raw[None, :], u[:, None])[:, 0]
     swing *= u  # no constant term yet; polynomial vanishes at u = 0
     mid = 0.5 * (lo + hi)
     amp = 0.45 * (hi - lo) / max(float(np.max(np.abs(swing))), 1e-30)

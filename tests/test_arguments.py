@@ -207,13 +207,16 @@ CLI_OPTIONS = st.tuples(
     _cli_arg("16", "32", "1e-9", "7", "10000000000"),
 ).map(lambda option: option[0] + [option[1]] if option[0] else [])
 
+# Literals that overflow a double must be input errors, not tracebacks.
+CLI_EXPRESSIONS = st.sampled_from(["1e999*0", "x + 1e400"])
+
 CLI_COMMANDS = st.one_of(
-    st.tuples(st.sampled_from(["integrate", "derive"]), st.just("ln(x)"),
+    st.tuples(st.sampled_from(["integrate", "derive"]), st.just("ln(x)") | CLI_EXPRESSIONS,
               _cli_arg("0.5", "1.5"), _cli_arg("2", "10")),
     st.tuples(st.just("powercheck"), st.just("--max-beta"), _cli_arg("1", "3"),
               st.just("--max-alpha"), _cli_arg("0.25", "1")),
-    st.tuples(st.just("semigroup"), st.just("sqrt(x)"), _cli_arg("0.5"), _cli_arg("0.75"),
-              _cli_arg("2", "10")),
+    st.tuples(st.just("semigroup"), st.just("sqrt(x)") | CLI_EXPRESSIONS, _cli_arg("0.5"),
+              _cli_arg("0.75"), _cli_arg("2", "10")),
     # --trials never takes a huge value here, so every run is short.
     st.tuples(st.just("fuzz"), st.just("--theorem"), THEOREMS, st.just("--trials"),
               st.sampled_from(["1", "2", "0", "-1", "a", "", "2.5", "inf"])),

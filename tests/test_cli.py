@@ -200,6 +200,18 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "1e999*0", "0.5", "2"],
+        ["derive", "1e999*0", "0.5", "2"],
+        ["semigroup", "x + 1e400", "0.5", "0.5", "2"],
+        ["integrate", "1e999", "0.5", "2"],
+    ])
+    def test_nonfinite_literal_is_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: number ") and err.count("\n") == 1
+        assert out == ""
+
     def test_divergent_integrand_is_three(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "1/(x-1)", "1.0", "2.0")
         assert code == 3

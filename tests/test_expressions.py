@@ -176,6 +176,16 @@ def test_eval_domain_faults_carry_context():
     with pytest.raises(ExprEvalError):
         eval_expr(parse_expr("exp(exp(x))"), 10.0)
 
+    # A tree built by hand may hold a constant no literal can spell.
+    with pytest.raises(ExprEvalError) as info:
+        eval_expr(Binary("add", Const(math.inf), Var()), 1.0)
+    assert info.value.subexpr == "inf + x"
+
+    # Overflow is reported where it happens, not where it would reach the root.
+    with pytest.raises(ExprEvalError) as info:
+        eval_expr(parse_expr("exp(x)*0 + 1"), 1000.0)
+    assert info.value.subexpr == "exp(x)"
+
 
 def test_vector_fault_reports_an_offending_point():
     with pytest.raises(ExprEvalError) as info:
@@ -221,6 +231,13 @@ def test_syntax_errors_carry_offset_and_expected():
         parse_expr("π")  # non-ASCII
     with pytest.raises(ExprSyntaxError):
         parse_expr("x " + "+ x " * (MAX_SOURCE_BYTES // 4))
+
+    # A literal that overflows a double is refused where it stands.
+    for text, offset in [("1e999*0", 0), ("x + 1e400", 4), ("1e999", 0), ("2^1e309", 2)]:
+        with pytest.raises(ExprSyntaxError, match="overflows a double") as info:
+            parse_expr(text)
+        assert info.value.offset == offset
+        assert info.value.expected == frozenset()
 
 
 @pytest.mark.parametrize("text", [

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hadafrac.errors import DomainError, EnvelopeError, HadafracError
+from hadafrac.errors import DomainError, EnvelopeError, HadafracError, QuadratureError
 from hadafrac.gammafn import gamma
 from hadafrac.inequalities import (
     BoundingQuadruple,
@@ -548,7 +548,6 @@ def test_bad_rel_tol_is_rejected(theorem):
             _call_check(*args, rel_tol=rel_tol)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=2000)
 @given(
     theorem=st.sampled_from(list(TheoremId)),
@@ -570,3 +569,17 @@ def test_every_check_reports_finite_values_or_raises(theorem, levels, alpha, bet
     except HadafracError:
         return
     assert math.isfinite(r.lhs) and math.isfinite(r.bound)
+
+
+# Array arithmetic that overflows raises QuadratureError without a
+# RuntimeWarning first (the suite turns RuntimeWarning into an error).
+@pytest.mark.parametrize("theorem, level, lo, hi", [
+    (TheoremId.YOUNG, 1e300, 0.5, 2.0),  # x**p
+    (TheoremId.POWMEAN, 1e300, 0.5, 2.0),  # (x + y)**r
+    (TheoremId.T34, 1e300, 0.5, 2.0),  # x**p with m < x/y < M
+    (TheoremId.P31, 1e200, 1e200, 1e200),  # squares of the levels
+])
+def test_array_overflow_raises_without_a_warning(theorem, level, lo, hi):
+    x = y = ConstantFunction(level)
+    with pytest.raises(QuadratureError, match="overflows"):
+        _call_check(theorem, x, y, lo, hi, 0.5, 0.5, 2.0, 2.0)
