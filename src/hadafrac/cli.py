@@ -32,7 +32,7 @@ from .errors import (
 )
 from .expressions import as_function, parse_expr
 from .fuzzing import FuzzConfig, run_fuzz
-from .inequalities import TheoremId
+from .inequalities import REL_TOL, TheoremId
 from .operators import (
     hadamard_derivative,
     hadamard_integral,
@@ -66,8 +66,8 @@ def _build_parser():
     parser.add_argument(
         "--rel-tol",
         type=float,
-        default=1e-9,
-        help="relative tolerance for fuzz trials (default 1e-9)",
+        default=REL_TOL,
+        help=f"relative tolerance for fuzz trials (default {REL_TOL:g})",
     )
     parser.add_argument(
         "--seed",
@@ -200,10 +200,10 @@ def _cmd_fuzz(args):
     )
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            summary, results = run_fuzz(config, csv_file=fh)
+            summary = run_fuzz(config, csv_file=fh)
         report_to = sys.stdout
     else:
-        summary, results = run_fuzz(config, csv_file=sys.stdout)
+        summary = run_fuzz(config, csv_file=sys.stdout)
         report_to = sys.stderr
     print("trials %d" % summary.trials_run, file=report_to)
     print("passes %d" % summary.passes, file=report_to)
@@ -211,16 +211,13 @@ def _cmd_fuzz(args):
     print("worst ratio %.15f" % summary.worst_ratio, file=report_to)
     print("worst seed %d" % summary.worst_seed, file=report_to)
     print("wall time %.2f s" % summary.wall_time, file=report_to)
-    if summary.failures:
-        for result in results:
-            if not result.report.passed:
-                print(
-                    "reproduce with: hadafrac fuzz --theorem %s --seed %d --trials 1"
-                    % (config.theorem_id.value, result.report.seed),
-                    file=report_to,
-                )
-        return 1
-    return 0
+    for seed in summary.failed_seeds:
+        print(
+            "reproduce with: hadafrac fuzz --theorem %s --seed %d --trials 1"
+            % (config.theorem_id.value, seed),
+            file=report_to,
+        )
+    return 1 if summary.failures else 0
 
 
 # Operators are looked up at call time, so a wrapper bound to their names sees every call.

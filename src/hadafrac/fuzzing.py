@@ -14,14 +14,14 @@ draws from its own counter-based Philox stream keyed on that seed.  No
 global generator state exists, so trials can be reproduced in isolation
 and executed in any order.
 
-Clipping can kink a trial function.  Kinked trials are flagged on the
-trial result and judged like every other trial, at rel_tol (default
+Clipping can kink a trial function.  Kinked trials are counted in the
+run's summary and judged like every other trial, at rel_tol (default
 1e-9): the measure argument above does not depend on smoothness.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .inequalities import (
     BoundingQuadruple,
     ConstantBounds,
     HolderPair,
-    InequalityReport,
     TheoremId,
     _check_rel_tol,
 )
@@ -107,18 +106,13 @@ def _check_ranges(alpha_range, beta_range, t_range):
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """One fuzz trial: its index in the run, its report, and whether any
-    trial function was kinked by clipping."""
-
-    index: int
-    report: InequalityReport
-    kinked: bool
-
-
-@dataclass(frozen=True)
 class RunSummary:
-    """Aggregate of one fuzzing run."""
+    """The record of one fuzzing run.
+
+    `kinked` counts the trials that drew a clipped function, and
+    `failed_seeds` holds the seed of each failing trial in trial order;
+    `run_trial` replays any of them.
+    """
 
     trials_run: int
     passes: int
@@ -126,6 +120,8 @@ class RunSummary:
     worst_ratio: float
     worst_seed: int
     wall_time: float
+    kinked: int
+    failed_seeds: tuple
 
 
 def trial_seed(master_seed, index):
@@ -202,14 +198,15 @@ _TRIALS = {
 }
 
 
-def run_trial(theorem_id, seed, *, alpha_range=(MIN_FUZZ_ORDER, 2.5),
-              beta_range=(MIN_FUZZ_ORDER, 2.5), t_range=(1.25, 15.0),
-              nodes=64, rel_tol=REL_TOL):
+def run_trial(theorem_id, seed, *, alpha_range=FuzzConfig.alpha_range,
+              beta_range=FuzzConfig.beta_range, t_range=FuzzConfig.t_range,
+              nodes=FuzzConfig.nodes, rel_tol=FuzzConfig.rel_tol):
     """Run the single fuzz trial identified by (theorem_id, seed).
 
     Fully reproducible: the seed determines every draw, so a CSV row's
-    seed column reruns its trial in isolation.  Returns (report, kinked).
-    Every trial, kinked or not, is judged at rel_tol.
+    seed column reruns its trial in isolation.  Returns (report, kinked),
+    with the seed stamped on the report.  Every trial, kinked or not, is
+    judged at rel_tol.
     """
     check, family, order_count = _TRIALS[TheoremId(theorem_id)]
     seed = check_int("seed", seed, -math.inf, math.inf)
@@ -233,21 +230,21 @@ def run_trial(theorem_id, seed, *, alpha_range=(MIN_FUZZ_ORDER, 2.5),
     kinked = any(getattr(f, "clipped", False) for f in (x_fn, y_fn))
     report = getattr(inequalities, check)(
         x_fn, y_fn, *hypothesis, *(alpha, beta)[:order_count], t,
-        nodes=nodes, rel_tol=rel_tol, seed=seed,
+        nodes=nodes, rel_tol=rel_tol,
     )
-    return report, kinked
+    return replace(report, seed=seed), kinked
 
 
 def run_fuzz(config, csv_file=None):
-    """Run `config.trials` trials; returns (RunSummary, [TrialResult]).
+    """Run `config.trials` trials and return their RunSummary.
 
     When `csv_file` (a text file object) is given, one CSV row is written
     per trial, in trial-index order, after the header.
     """
     if csv_file is not None:
         csv_file.write(CSV_HEADER + "\n")
-    results = []
-    passes = 0
+    failed_seeds = []
+    kinked_trials = 0
     worst_ratio = -math.inf
     worst_seed = trial_seed(config.master_seed, 0)
     start = time.perf_counter()
@@ -262,24 +259,24 @@ def run_fuzz(config, csv_file=None):
             nodes=config.nodes,
             rel_tol=config.rel_tol,
         )
-        result = TrialResult(index=index, report=report, kinked=kinked)
-        results.append(result)
-        passes += report.passed
+        kinked_trials += kinked
+        if not report.passed:
+            failed_seeds.append(seed)
         if report.ratio > worst_ratio:
             worst_ratio = report.ratio
             worst_seed = seed
         if csv_file is not None:
             csv_file.write(format_csv_row(report) + "\n")
-    wall = time.perf_counter() - start
-    summary = RunSummary(
+    return RunSummary(
         trials_run=config.trials,
-        passes=passes,
-        failures=config.trials - passes,
+        passes=config.trials - len(failed_seeds),
+        failures=len(failed_seeds),
         worst_ratio=worst_ratio,
         worst_seed=worst_seed,
-        wall_time=wall,
+        wall_time=time.perf_counter() - start,
+        kinked=kinked_trials,
+        failed_seeds=tuple(failed_seeds),
     )
-    return summary, results
 
 
 def _fmt(value):

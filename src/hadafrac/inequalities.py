@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EnvelopeError, QuadratureError, check_int, check_real
+from .errors import DomainError, EnvelopeError, QuadratureError, check_real
 from .operators import Measure, _eval_on, power_rule_integral
 
 REL_TOL = 1e-9
@@ -158,10 +158,8 @@ def _check_rel_tol(rel_tol):
     return rel_tol
 
 
-def _report(theorem_id, lhs, bound, params, seed, rel_tol):
+def _report(theorem_id, lhs, bound, params, rel_tol):
     rel_tol = _check_rel_tol(rel_tol)
-    if seed is not None:
-        seed = check_int("seed", seed, -math.inf, math.inf)
     lhs = float(lhs)
     bound = float(bound)
     if not (math.isfinite(lhs) and math.isfinite(bound)):
@@ -180,7 +178,6 @@ def _report(theorem_id, lhs, bound, params, seed, rel_tol):
         margin=bound - lhs,
         passed=bool(lhs <= bound * (1.0 + rel_tol) + ABS_TOL),
         params=params,
-        seed=seed,
     )
 
 
@@ -275,7 +272,7 @@ def _quotient(num, den):
 
 
 @_finite
-def polya_szego_single(x, y, env, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
+def polya_szego_single(x, y, env, alpha, t, *, nodes=64, rel_tol=REL_TOL):
     """One-order Polya-Szego type check (T31).
 
     lhs   = I^a{v1 v2 x^2}(t) * I^a{u1 u2 y^2}(t)
@@ -287,11 +284,11 @@ def polya_szego_single(x, y, env, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=N
     _require_bands(tau, xv, yv, u1, u2, v1, v2)
     lhs = ia(v1 * v2 * xv**2) * ia(u1 * u2 * yv**2)
     bound = 0.25 * ia((v1 * u1 + v2 * u2) * xv * yv) ** 2
-    return _report(TheoremId.T31, lhs, bound, params, seed, rel_tol)
+    return _report(TheoremId.T31, lhs, bound, params, rel_tol)
 
 
 @_finite
-def polya_szego_double(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
+def polya_szego_double(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL):
     """Two-order Polya-Szego type check (T32).
 
     lhs   = I^a{u1 u2}(t) I^b{v1 v2}(t) I^a{x^2}(t) I^b{y^2}(t)
@@ -303,11 +300,11 @@ def polya_szego_double(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL, 
     _require_bands(tau, xv, yv, u1, u2, v1, v2)
     lhs = ia(u1 * u2) * ib(v1 * v2) * ia(xv**2) * ib(yv**2)
     cross = ia(u1 * xv) * ib(v1 * yv) + ia(u2 * xv) * ib(v2 * yv)
-    return _report(TheoremId.T32, lhs, 0.25 * cross**2, params, seed, rel_tol)
+    return _report(TheoremId.T32, lhs, 0.25 * cross**2, params, rel_tol)
 
 
 @_finite
-def product_bound(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
+def product_bound(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL):
     """Envelope-ratio product check (T33).
 
     lhs   = I^a{x^2}(t) * I^b{y^2}(t)
@@ -322,7 +319,7 @@ def product_bound(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL, seed=
     _require_bands(tau, xv, yv, u1, u2, v1, v2)
     lhs = ia(xv**2) * ib(yv**2)
     bound = ia(u2 * xv * yv / v1) * ib(v2 * xv * yv / u1)
-    return _report(TheoremId.T33, lhs, bound, params, seed, rel_tol)
+    return _report(TheoremId.T33, lhs, bound, params, rel_tol)
 
 
 def _constant_ps_bound(cb):
@@ -333,7 +330,7 @@ def _constant_ps_bound(cb):
 
 
 @_finite
-def constant_polya_szego(x, y, cb, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
+def constant_polya_szego(x, y, cb, alpha, t, *, nodes=64, rel_tol=REL_TOL):
     """Constant-envelope Polya-Szego ratio check (P31).
 
     lhs   = I^a{x^2}(t) I^a{y^2}(t) / (I^a{x y}(t))^2
@@ -342,12 +339,11 @@ def constant_polya_szego(x, y, cb, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=
     tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
     lhs = _quotient(ia(xv**2) * ia(yv**2), ia(xv * yv) ** 2)
-    return _report(TheoremId.P31, lhs, _constant_ps_bound(cb), params, seed, rel_tol)
+    return _report(TheoremId.P31, lhs, _constant_ps_bound(cb), params, rel_tol)
 
 
 @_finite
-def constant_polya_szego_two_order(x, y, cb, alpha, beta, t, *,
-                                   nodes=64, rel_tol=REL_TOL, seed=None):
+def constant_polya_szego_two_order(x, y, cb, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL):
     """Two-order constant-envelope ratio check (P32).
 
     lhs   = prefactor * I^a{x^2}(t) I^b{y^2}(t) / (I^a{x}(t) I^b{y}(t))^2
@@ -361,11 +357,11 @@ def constant_polya_szego_two_order(x, y, cb, alpha, beta, t, *,
     _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
     prefactor = power_rule_integral(1.0, alpha, t) * power_rule_integral(1.0, beta, t)
     lhs = _quotient(prefactor * ia(xv**2) * ib(yv**2), (ia(xv) * ib(yv)) ** 2)
-    return _report(TheoremId.P32, lhs, _constant_ps_bound(cb), params, seed, rel_tol)
+    return _report(TheoremId.P32, lhs, _constant_ps_bound(cb), params, rel_tol)
 
 
 @_finite
-def ratio_bound_constant(x, y, cb, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
+def ratio_bound_constant(x, y, cb, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL):
     """Constant-envelope product comparison across two orders (P33).
 
     lhs   = I^a{x^2}(t) * I^b{y^2}(t)
@@ -376,11 +372,11 @@ def ratio_bound_constant(x, y, cb, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL,
     lhs = ia(xv**2) * ib(yv**2)
     factor = (cb.M * cb.N_hi) / (cb.m * cb.n_lo)
     bound = factor * ia(xv * yv) * ib(xv * yv)
-    return _report(TheoremId.P33, lhs, bound, params, seed, rel_tol)
+    return _report(TheoremId.P33, lhs, bound, params, rel_tol)
 
 
 @_finite
-def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
+def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64, rel_tol=REL_TOL):
     """Minkowski-type check via a Young splitting (T34).
 
     Requires 0 < m < x/y < M pointwise, with M finite.  Then
@@ -412,22 +408,22 @@ def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64, rel_tol=REL_TOL, se
         1.0 / (m + 1.0)
     ) ** q * ia((xv + yv) ** q)
     params.update(p=p, q=q, m=m, M=M, young_mid=mid)
-    return _report(TheoremId.T34, ia(xv * yv), bound, params, seed, rel_tol)
+    return _report(TheoremId.T34, ia(xv * yv), bound, params, rel_tol)
 
 
 @_finite
-def young_pointwise_check(x, y, hp, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
+def young_pointwise_check(x, y, hp, alpha, t, *, nodes=64, rel_tol=REL_TOL):
     """Young product check (YOUNG): I^a{x y} <= I^a{x^p}/p + I^a{y^q}/q."""
     tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require_signs(tau, xv, yv)
     p, q = hp.p, hp.q
     bound = (1.0 / p) * ia(xv**p) + (1.0 / q) * ia(yv**q)
     params.update(p=p, q=q)
-    return _report(TheoremId.YOUNG, ia(xv * yv), bound, params, seed, rel_tol)
+    return _report(TheoremId.YOUNG, ia(xv * yv), bound, params, rel_tol)
 
 
 @_finite
-def power_mean_check(x, y, r, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None):
+def power_mean_check(x, y, r, alpha, t, *, nodes=64, rel_tol=REL_TOL):
     """Power-mean check (POWMEAN): I^a{(x+y)^r} <= 2^(r-1) I^a{x^r + y^r}."""
     r = check_real("r", r)
     if not r > 1.0:
@@ -436,4 +432,4 @@ def power_mean_check(x, y, r, alpha, t, *, nodes=64, rel_tol=REL_TOL, seed=None)
     _require_signs(tau, xv, yv)
     bound = 2.0 ** (r - 1.0) * ia(xv**r + yv**r)
     params["r"] = r
-    return _report(TheoremId.POWMEAN, ia((xv + yv) ** r), bound, params, seed, rel_tol)
+    return _report(TheoremId.POWMEAN, ia((xv + yv) ** r), bound, params, rel_tol)

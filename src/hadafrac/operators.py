@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, RoughnessWarning, check_int, check_real
+from .errors import DomainError, HadafracError, QuadratureError, RoughnessWarning
+from .errors import check_int, check_real
 from .gammafn import gamma
 from .jacobi import MIN_RULE_ALPHA, build_jacobi_rule, check_rule_order, jacobi_rule_01
 
@@ -66,6 +67,8 @@ def _eval_on(f, args):
     try:
         arr = np.asarray(f(args), dtype=float)
         vectorized = arr.shape == args.shape
+    except HadafracError:  # f's own fault, not a sign that f wants scalars
+        raise
     except (TypeError, ValueError):
         vectorized = False
     if not vectorized:

@@ -164,11 +164,10 @@ def test_criterion_5_fuzz_soundness():
         config = FuzzConfig(
             theorem_id=theorem, trials=10_000, master_seed=20260816 + 100_000 * k
         )
-        summary, results = run_fuzz(config)
-        kinked = sum(r.kinked for r in results)
+        summary = run_fuzz(config)
         total_failures += summary.failures
         details.append(
-            f"{theorem.value}:{summary.failures} fail/{kinked} kinked"
+            f"{theorem.value}:{summary.failures} fail/{summary.kinked} kinked"
         )
     elapsed = time.perf_counter() - start
     ok = total_failures == 0 and elapsed < 600.0

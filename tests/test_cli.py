@@ -1,6 +1,8 @@
 """Tests for the command-line interface: output format, exit codes,
 CSV determinism, and the HADAFRAC_SEED environment default."""
 
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -11,7 +13,8 @@ import pytest
 
 import hadafrac
 from hadafrac.cli import main
-from hadafrac.fuzzing import CSV_HEADER
+from hadafrac import inequalities
+from hadafrac.fuzzing import CSV_HEADER, FuzzConfig, run_fuzz
 
 E_STR = "2.718281828459045"
 
@@ -181,6 +184,34 @@ class TestFuzzCommand:
         code, _, err = run_cli(capsys, "fuzz", "--theorem", "T31", "--trials", "1")
         assert code == 2
         assert "HADAFRAC_SEED" in err
+
+    def test_failing_trials_exit_one_with_a_reproducer_each(self, capsys, tmp_path, monkeypatch):
+        # The fuzzer looks each check up by name, so this stand-in fails
+        # trials 1, 4 and 5 of every run of eight.
+        check = inequalities.product_bound
+        calls = itertools.count()
+
+        def flaky(*args, **kwargs):
+            report = check(*args, **kwargs)
+            return dataclasses.replace(report, passed=next(calls) % 8 not in (1, 4, 5))
+
+        monkeypatch.setattr(inequalities, "product_bound", flaky)
+        path = tmp_path / "run.csv"
+        code, out, _ = run_cli(
+            capsys, "--seed", "40", "--out", str(path), "fuzz", "--theorem", "T33", "--trials", "8"
+        )
+        seeds = (41, 44, 45)
+        assert code == 1
+        assert "failures 3" in out.splitlines()
+        assert out.splitlines()[-3:] == [
+            f"reproduce with: hadafrac fuzz --theorem T33 --seed {seed} --trials 1"
+            for seed in seeds
+        ]
+        rows = path.read_text().splitlines()[1:]
+        assert [int(row.split(",")[6]) for row in rows if row.endswith(",false")] == list(seeds)
+        summary = run_fuzz(FuzzConfig("T33", trials=8, master_seed=40))
+        assert summary.failed_seeds == seeds
+        assert (summary.passes, summary.failures) == (5, 3)
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 """Tests for the fuzzing harness: determinism, CSV schema, soundness."""
 
+import dataclasses
 import inspect
 import io
 import math
@@ -13,7 +14,6 @@ from hadafrac.fuzzing import (
     CSV_HEADER,
     FuzzConfig,
     RunSummary,
-    TrialResult,
     format_csv_row,
     run_fuzz,
     run_trial,
@@ -29,6 +29,11 @@ def small_run(theorem_id, trials=40, master_seed=7734):
     return run_fuzz(config)
 
 
+def reports_of(theorem_id, trials, master_seed=7734):
+    """The reports of a run's trials, each replayed from its seed."""
+    return [run_trial(theorem_id, trial_seed(master_seed, i))[0] for i in range(trials)]
+
+
 def csv_of(theorem_id, trials, master_seed=7734):
     stream = io.StringIO()
     run_fuzz(FuzzConfig(theorem_id=theorem_id, trials=trials, master_seed=master_seed),
@@ -42,23 +47,21 @@ class TestDeterminism:
             assert csv_of(theorem, 25, 42) == csv_of(theorem, 25, 42)
 
     def test_streamed_and_collected_csv_agree(self):
-        config = FuzzConfig(theorem_id=TheoremId.T32, trials=15, master_seed=3)
-        stream = io.StringIO()
-        _, results = run_fuzz(config, csv_file=stream)
-        collected = "".join(format_csv_row(r.report) + "\n" for r in results)
-        assert stream.getvalue() == CSV_HEADER + "\n" + collected
+        collected = "".join(format_csv_row(r) + "\n" for r in reports_of(TheoremId.T32, 15, 3))
+        assert csv_of(TheoremId.T32, 15, 3) == CSV_HEADER + "\n" + collected
 
     def test_trial_is_reproducible_from_its_seed(self):
         config = FuzzConfig(theorem_id=TheoremId.T33, trials=20, master_seed=99)
-        _, results = run_fuzz(config)
-        probe = results[7]
+        stream = io.StringIO()
+        summary = run_fuzz(config, csv_file=stream)
+        row = stream.getvalue().split("\n")[1 + 7]
         seed = trial_seed(99, 7)
-        assert probe.report.seed == seed
-        report, kinked = run_trial(TheoremId.T33, seed)
-        assert report.lhs == probe.report.lhs
-        assert report.bound == probe.report.bound
-        assert report.params == probe.report.params
-        assert kinked == probe.kinked
+        assert int(row.split(",")[6]) == seed
+        report, _ = run_trial(TheoremId.T33, seed)
+        assert report.seed == seed
+        assert format_csv_row(report) == row
+        replayed = [run_trial(TheoremId.T33, trial_seed(99, i))[1] for i in range(20)]
+        assert sum(replayed) == summary.kinked
 
     def test_different_master_seeds_differ(self):
         assert csv_of(TheoremId.T31, 5, 1) != csv_of(TheoremId.T31, 5, 2)
@@ -81,34 +84,34 @@ class TestDeterminism:
 class TestSoundness:
     @pytest.mark.parametrize("theorem", ALL_CHECKS, ids=[t.value for t in ALL_CHECKS])
     def test_no_violations_in_small_runs(self, theorem):
-        summary, results = small_run(theorem, trials=200)
+        summary = small_run(theorem, trials=200)
         assert isinstance(summary, RunSummary)
         assert summary.failures == 0, (
             f"{theorem.value}: worst ratio {summary.worst_ratio!r} "
             f"at seed {summary.worst_seed}"
         )
+        assert summary.failed_seeds == ()
         assert summary.passes + summary.failures == summary.trials_run
         assert summary.trials_run == 200
+        assert 0 <= summary.kinked <= summary.trials_run
         assert summary.wall_time > 0.0
 
     def test_saturating_trials_occur_and_hit_ratio_one(self):
         for theorem in (TheoremId.T31, TheoremId.P31, TheoremId.YOUNG, TheoremId.POWMEAN):
-            _, results = small_run(theorem, trials=200)
-            best = max(r.report.ratio for r in results)
+            best = small_run(theorem, trials=200).worst_ratio
             assert best == pytest.approx(1.0, abs=1e-10), theorem
 
     def test_both_kinked_and_smooth_trials_appear(self):
-        _, results = small_run(TheoremId.T31, trials=200)
-        kinds = {r.kinked for r in results}
-        assert kinds == {True, False}
+        summary = small_run(TheoremId.T31, trials=200)
+        assert 0 < summary.kinked < summary.trials_run
 
     def test_worst_ratio_matches_results(self):
-        summary, results = small_run(TheoremId.T32, trials=50)
-        assert summary.worst_ratio == max(r.report.ratio for r in results)
+        summary = small_run(TheoremId.T32, trials=50)
+        reports = reports_of(TheoremId.T32, 50)
+        assert summary.worst_ratio == max(r.ratio for r in reports)
         assert any(
-            r.report.seed == summary.worst_seed
-            and r.report.ratio == summary.worst_ratio
-            for r in results
+            r.seed == summary.worst_seed and r.ratio == summary.worst_ratio
+            for r in reports
         )
 
 
@@ -118,17 +121,15 @@ class TestCsvSchema:
         assert csv_of(TheoremId.T31, 1).split("\n")[0] == CSV_HEADER
 
     def test_row_shape_and_round_trip(self):
-        _, results = small_run(TheoremId.T34, trials=10)
-        for result in results:
-            row = format_csv_row(result.report)
-            fields = row.split(",")
+        for report in reports_of(TheoremId.T34, 10):
+            fields = format_csv_row(report).split(",")
             assert len(fields) == 12
             assert fields[0] == "T34"
-            assert float(fields[7]) == result.report.lhs
-            assert float(fields[8]) == result.report.bound
-            assert float(fields[9]) == result.report.ratio
-            assert float(fields[10]) == result.report.margin
-            assert int(fields[6]) == result.report.seed
+            assert float(fields[7]) == report.lhs
+            assert float(fields[8]) == report.bound
+            assert float(fields[9]) == report.ratio
+            assert float(fields[10]) == report.margin
+            assert int(fields[6]) == report.seed
             assert fields[11] in ("true", "false")
 
     def test_lf_line_endings_only(self):
@@ -137,31 +138,27 @@ class TestCsvSchema:
         assert text.count("\n") == 6
 
     def test_single_order_checks_leave_beta_empty(self):
-        _, results = small_run(TheoremId.T31, trials=3)
-        for result in results:
-            fields = format_csv_row(result.report).split(",")
+        for report in reports_of(TheoremId.T31, 3):
+            fields = format_csv_row(report).split(",")
             assert fields[1] != ""
             assert fields[2] == ""
             assert fields[4] == ""
             assert fields[5] == ""
 
     def test_two_order_checks_fill_beta(self):
-        _, results = small_run(TheoremId.P33, trials=3)
-        for result in results:
-            fields = format_csv_row(result.report).split(",")
+        for report in reports_of(TheoremId.P33, 3):
+            fields = format_csv_row(report).split(",")
             assert fields[2] != ""
 
     def test_powmean_exponent_rides_in_p_column(self):
-        _, results = small_run(TheoremId.POWMEAN, trials=5)
-        for result in results:
-            fields = format_csv_row(result.report).split(",")
-            assert float(fields[4]) == result.report.params["r"]
+        for report in reports_of(TheoremId.POWMEAN, 5):
+            fields = format_csv_row(report).split(",")
+            assert float(fields[4]) == report.params["r"]
             assert fields[5] == ""
 
     def test_holder_checks_fill_both_exponents(self):
-        _, results = small_run(TheoremId.YOUNG, trials=5)
-        for result in results:
-            fields = format_csv_row(result.report).split(",")
+        for report in reports_of(TheoremId.YOUNG, 5):
+            fields = format_csv_row(report).split(",")
             p, q = float(fields[4]), float(fields[5])
             assert 1.0 / p + 1.0 / q == pytest.approx(1.0, abs=1e-12)
 
@@ -216,11 +213,11 @@ class TestConfigValidation:
         with pytest.raises(AttributeError):
             config.trials = 7
 
-    def test_trial_results_are_frozen(self):
-        _, results = small_run(TheoremId.T31, trials=2)
-        assert isinstance(results[0], TrialResult)
+    def test_run_summary_is_frozen(self):
+        summary = small_run(TheoremId.T31, trials=2)
+        assert isinstance(summary.failed_seeds, tuple)
         with pytest.raises(AttributeError):
-            results[0].kinked = True
+            summary.kinked = 0
 
 
 # Trial seeds of T31 whose functions are smooth and kinked (clipped).
@@ -267,4 +264,12 @@ def test_checks_take_exactly_the_options_run_trial_passes():
     for name, _family, _orders in fuzzing._TRIALS.values():
         parameters = inspect.signature(getattr(inequalities, name)).parameters.values()
         options = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
-        assert options == {"nodes", "rel_tol", "seed"}, name
+        assert options == {"nodes", "rel_tol"}, name
+
+
+def test_run_trial_defaults_are_fuzz_configs():
+    parameters = inspect.signature(run_trial).parameters.values()
+    defaults = {p.name: p.default for p in parameters if p.kind is p.KEYWORD_ONLY}
+    fields = {f.name: f.default for f in dataclasses.fields(FuzzConfig)}
+    per_run = {"theorem_id", "trials", "master_seed"}
+    assert defaults == {name: value for name, value in fields.items() if name not in per_run}

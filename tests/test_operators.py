@@ -6,14 +6,18 @@ graded-mesh routes under test.
 """
 
 import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hadafrac.errors import DomainError, QuadratureError, RoughnessWarning
+from hadafrac.errors import DomainError, ExprEvalError, QuadratureError, RoughnessWarning
+from hadafrac.expressions import as_function, parse_expr
+from hadafrac.fuzzing import FuzzConfig, run_fuzz
 from hadafrac.gammafn import gamma
+from hadafrac.inequalities import TheoremId
 from hadafrac.operators import (
     OperatorResult,
     hadamard_derivative,
@@ -195,6 +199,20 @@ def test_scalar_only_callables_are_accepted():
     assert res.value == pytest.approx(expect, rel=1e-12)
 
 
+def test_domain_fault_is_raised_without_scalar_retries():
+    # A fault of the function itself is not a sign that it wants scalars.
+    f = as_function(parse_expr("ln(x - 3)"))
+    calls = []
+
+    def counted(tau):
+        calls.append(tau)
+        return f(tau)
+
+    with pytest.raises(ExprEvalError):
+        hadamard_integral(counted, 0.5, 5.0)
+    assert len(calls) == 1
+
+
 def test_prebuilt_rule_paths():
     # nodes=32 names the cached rule of (order, 32); both operators use it.
     via_rule = hadamard_integral(constant_one, 0.5, math.e, nodes=32, estimate_error=False)
@@ -374,3 +392,16 @@ def _operator_bits():
 
 def test_operator_results_keep_their_bits():
     assert _operator_bits() == OPERATOR_BITS_SHA256
+
+
+# SHA-256 of one buffer holding the run_fuzz CSVs of the nine checks in
+# TheoremId order: 200 trials each from master seed 777, default FuzzConfig.
+# A change that moves these bits updates the digest and lists the moved rows.
+FUZZ_CSV_SHA256 = "3fbb4957d102d97d10bbbb20a405679780e78eab8cfe4614eea0d422a840ac8d"
+
+
+def test_fuzz_csv_keeps_its_bits():
+    out = io.StringIO()
+    for theorem in TheoremId:
+        run_fuzz(FuzzConfig(theorem, trials=200, master_seed=777), csv_file=out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FUZZ_CSV_SHA256
