@@ -26,6 +26,13 @@ def check_int(name, value, lo, hi):
     return int(value)
 
 
+def all_finite(values):
+    """Whether every entry of a float array is finite.  The sum of squares is
+    finite when every entry is, unless it overflows; only then does the
+    exact (and slower) test run."""
+    return math.isfinite(np.vdot(values, values)) or bool(np.isfinite(values).all())
+
+
 class HadafracError(Exception):
     """Base class for all errors raised by this package."""
 

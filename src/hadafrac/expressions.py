@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ExprEvalError, ExprSyntaxError
+from .errors import DomainError, ExprEvalError, ExprSyntaxError, all_finite, check_real
 
 MAX_SOURCE_BYTES = 64 * 1024
 
@@ -83,6 +83,9 @@ _ATOM_EXPECTED = frozenset({"NUMBER", "x", "(", "-", *_CONSTANTS, *FUNCTIONS})
 class Const:
     value: float
 
+    def __post_init__(self):
+        check_real("Const value", self.value)
+
 
 @dataclass(frozen=True)
 class Var:
@@ -94,6 +97,10 @@ class Unary:
     op: str  # neg or a function name
     arg: "Node"
 
+    def __post_init__(self):
+        if self.op not in _UNARY_OPS or not isinstance(self.arg, Node):
+            raise _bad_node(self, _UNARY_OPS)
+
 
 @dataclass(frozen=True)
 class Binary:
@@ -101,8 +108,22 @@ class Binary:
     lhs: "Node"
     rhs: "Node"
 
+    def __post_init__(self):
+        if not (self.op in _BY_OP and isinstance(self.lhs, Node) and isinstance(self.rhs, Node)):
+            raise _bad_node(self, _BY_OP)
+
 
 Node = Const | Var | Unary | Binary
+
+_UNARY_OPS = frozenset({"neg", *FUNCTIONS})
+
+
+def _bad_node(node, ops):
+    operands = ", ".join(type(child).__name__ for child in list(vars(node).values())[1:])
+    return DomainError(
+        f"{type(node).__name__} takes an op in {sorted(ops)} and node operands, "
+        f"got {node.op!r} on {operands}"
+    )
 
 
 class _Token(NamedTuple):
@@ -275,7 +296,6 @@ def _render(node, context):
     if isinstance(node, Const):
         if node.value < 0.0 or (node.value == 0.0 and math.copysign(1.0, node.value) < 0):
             return _render(Unary("neg", Const(-node.value)), context)
-        # Only a tree built by hand holds inf or NaN; they render as repr does.
         return str(int(node.value)) if float(node.value).is_integer() else repr(node.value)
     if isinstance(node, Var):
         return "x"
@@ -317,10 +337,16 @@ def _eval(node, x):
 def eval_expr(ast, tau):
     """Evaluate an AST at tau (scalar or numpy array of the same shape out)."""
     scalar = np.isscalar(tau) or np.ndim(tau) == 0
-    x = np.atleast_1d(np.asarray(tau, dtype=float))
+    try:
+        x = np.atleast_1d(np.asarray(tau, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"tau must be real numbers, got {tau!r}") from None
     # Overflow becomes an ExprEvalError via the finiteness checks, so the
     # intermediate warnings carry no information.
     with np.errstate(over="ignore"):
+        if not all_finite(x):
+            bad = float(x[~np.isfinite(x)][0])
+            raise DomainError(f"expression evaluated at a non-finite point tau={bad!r}")
         out = _eval(ast, x)
     return float(out[0]) if scalar else out.reshape(np.shape(tau))
 

@@ -22,12 +22,12 @@ run's summary and judged like every other trial, at rel_tol (default
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import inequalities
-from .errors import DomainError, check_int, check_real
-from .gammafn import GAMMA_MAX_ARG
+from .errors import check_int
 from .inequalities import (
     REL_TOL,
     BoundingQuadruple,
@@ -41,7 +41,6 @@ from .randfuncs import ConstantFunction, random_bounded_function
 
 # Orders are drawn from this grid so the node caches amortize across trials.
 ORDER_GRID_STEP = 0.05
-MIN_FUZZ_ORDER = 0.1
 
 # Fraction of trials forced onto the equality-saturation boundary.
 SATURATION_RATE = 0.05
@@ -53,56 +52,34 @@ _SEED_MASK = 2**63 - 1
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Parameters of one fuzzing run against a single check."""
+    """Parameters of one fuzzing run against a single check.
+
+    Every run shares one domain: orders on the ORDER_GRID_STEP grid in
+    alpha_range and beta_range, and t uniform in t_range.
+    """
 
     theorem_id: TheoremId
     trials: int = 100
     master_seed: int = 0
-    alpha_range: tuple = (MIN_FUZZ_ORDER, 2.5)
-    beta_range: tuple = (MIN_FUZZ_ORDER, 2.5)
-    t_range: tuple = (1.25, 15.0)
     nodes: int = 64
     rel_tol: float = REL_TOL
+    alpha_range: ClassVar[tuple] = (0.1, 2.5)
+    beta_range: ClassVar[tuple] = (0.1, 2.5)
+    t_range: ClassVar[tuple] = (1.25, 15.0)
 
     def __post_init__(self):
         object.__setattr__(self, "theorem_id", TheoremId(self.theorem_id))
         check_int("master_seed", self.master_seed, -math.inf, math.inf)
         check_int("trials", self.trials, 1, math.inf)
         _check_rel_tol(self.rel_tol)
-        _check_ranges(self.alpha_range, self.beta_range, self.t_range)
         check_int("nodes", self.nodes, 2, MAX_RULE_NODES)
 
 
-def _real_pair(name, bounds):
-    """The two numbers of a (lo, hi) range as floats, or DomainError."""
-    try:
-        lo, hi = bounds
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a pair of real numbers, got {bounds!r}") from None
-    return check_real(name, lo), check_real(name, hi)
-
-
-def _order_span(name, bounds):
-    """(k_lo, k_hi + 1) for the grid orders ORDER_GRID_STEP * k in bounds."""
-    lo, hi = _real_pair(name, bounds)
-    if MIN_FUZZ_ORDER <= lo <= hi <= GAMMA_MAX_ARG:
-        k_lo = math.ceil(round(lo / ORDER_GRID_STEP, 9))
-        k_hi = math.floor(round(hi / ORDER_GRID_STEP, 9))
-        if k_lo <= k_hi:
-            return k_lo, k_hi + 1
-    raise DomainError(
-        f"{name} must hold a multiple of {ORDER_GRID_STEP:g} "
-        f"in [{MIN_FUZZ_ORDER:g}, {GAMMA_MAX_ARG:g}], got {bounds!r}"
-    )
-
-
-def _check_ranges(alpha_range, beta_range, t_range):
-    """The grid spans of the two order ranges, and t_range as floats."""
-    spans = _order_span("alpha_range", alpha_range), _order_span("beta_range", beta_range)
-    lo, hi = _real_pair("t_range", t_range)
-    if not 1.0 < lo <= hi:
-        raise DomainError(f"t_range must satisfy 1 < lo <= hi, got ({lo:g}, {hi:g})")
-    return *spans, (lo, hi)
+# Both ends of each order range lie on the grid: k runs over [k_lo, k_hi + 1).
+_ALPHA_SPAN, _BETA_SPAN = (
+    (round(lo / ORDER_GRID_STEP), round(hi / ORDER_GRID_STEP) + 1)
+    for lo, hi in (FuzzConfig.alpha_range, FuzzConfig.beta_range)
+)
 
 
 @dataclass(frozen=True)
@@ -198,9 +175,7 @@ _TRIALS = {
 }
 
 
-def run_trial(theorem_id, seed, *, alpha_range=FuzzConfig.alpha_range,
-              beta_range=FuzzConfig.beta_range, t_range=FuzzConfig.t_range,
-              nodes=FuzzConfig.nodes, rel_tol=FuzzConfig.rel_tol):
+def run_trial(theorem_id, seed, *, nodes=FuzzConfig.nodes, rel_tol=FuzzConfig.rel_tol):
     """Run the single fuzz trial identified by (theorem_id, seed).
 
     Fully reproducible: the seed determines every draw, so a CSV row's
@@ -210,11 +185,10 @@ def run_trial(theorem_id, seed, *, alpha_range=FuzzConfig.alpha_range,
     """
     check, family, order_count = _TRIALS[TheoremId(theorem_id)]
     seed = check_int("seed", seed, -math.inf, math.inf)
-    alpha_span, beta_span, t_range = _check_ranges(alpha_range, beta_range, t_range)
     rng = np.random.Generator(np.random.Philox(key=seed & _SEED_MASK))
-    alpha = ORDER_GRID_STEP * int(rng.integers(*alpha_span))
-    beta = ORDER_GRID_STEP * int(rng.integers(*beta_span))
-    t = float(rng.uniform(*t_range))
+    alpha = ORDER_GRID_STEP * int(rng.integers(*_ALPHA_SPAN))
+    beta = ORDER_GRID_STEP * int(rng.integers(*_BETA_SPAN))
+    t = float(rng.uniform(*FuzzConfig.t_range))
     saturating = bool(rng.uniform() < SATURATION_RATE)
     if saturating:
         c = float(rng.uniform(0.5, 3.0))
@@ -251,13 +225,7 @@ def run_fuzz(config, csv_file=None):
     for index in range(config.trials):
         seed = trial_seed(config.master_seed, index)
         report, kinked = run_trial(
-            config.theorem_id,
-            seed,
-            alpha_range=config.alpha_range,
-            beta_range=config.beta_range,
-            t_range=config.t_range,
-            nodes=config.nodes,
-            rel_tol=config.rel_tol,
+            config.theorem_id, seed, nodes=config.nodes, rel_tol=config.rel_tol
         )
         kinked_trials += kinked
         if not report.passed:

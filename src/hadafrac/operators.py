@@ -145,7 +145,7 @@ def hadamard_integral(f, alpha, t, nodes=64, estimate_error=True, endpoint_expon
     if g != 0.0:
         # The endpoint rule has no weight-sum check of its own; the plain
         # rule of the same order and size stands in for it.
-        Measure(alpha, t, nodes)
+        build_jacobi_rule(measure.alpha, count)
     if measure.t == 1.0:
         return OperatorResult(value=0.0, estimated_error=0.0, nodes_used=count)
 

@@ -13,10 +13,12 @@ matrix for degree 4.
 """
 
 from dataclasses import dataclass, field
+import math
+import operator
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, all_finite, check_int, check_real
 
 # Functions are shaped over ln tau in [0, LOG_SPAN]; beyond the last
 # breakpoint the final piece extends, still clipped.
@@ -76,8 +78,22 @@ class PiecewiseLogPoly:
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_edges", np.asarray(self.breakpoints, dtype=float))
-        object.__setattr__(self, "_rows", np.asarray(self.coefficients, dtype=float))
+        _check_band(self.clip_lo, self.clip_hi)
+        edges, rows = _floats(self.breakpoints), _floats(self.coefficients)
+        knots = edges.tolist()
+        if not (edges.ndim == 1 and knots and knots[0] == 0.0 and knots[-1] < math.inf
+                and all(map(operator.lt, knots, knots[1:]))):
+            raise DomainError(
+                f"breakpoints must be finite and increase strictly from 0, got {self.breakpoints!r}"
+            )
+        if not (rows.ndim == 2 and len(rows) == edges.size and 0 < rows.shape[1] <= MAX_DEGREE + 1
+                and all_finite(rows)):
+            raise DomainError(
+                f"coefficients must be one row of 1 to {MAX_DEGREE + 1} finite numbers "
+                f"per breakpoint, got {self.coefficients!r}"
+            )
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_rows", rows)
 
     def unclipped(self, tau):
         """Evaluate the continuous piecewise polynomial without clipping."""
@@ -93,6 +109,14 @@ class PiecewiseLogPoly:
 
     def __call__(self, tau):
         return np.minimum(np.maximum(self.unclipped(tau), self.clip_lo), self.clip_hi)
+
+
+def _floats(value):
+    """`value` as a float array; an empty one if it is ragged or not numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return np.empty(0)
 
 
 def _horner(rows, u):

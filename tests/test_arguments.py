@@ -4,7 +4,8 @@ raises a HadafracError; every CLI command exits 0 to 3.
 Each argument is drawn from a valid range or from a list of hostile values:
 infinities, NaN, huge and tiny numbers, zero, negatives, strings (numeric
 ones included), None, bools and floats where an integer is expected.
-Callables and the points a function is evaluated at are out of scope.
+Callables, and the points a function other than an expression is evaluated
+at, are out of scope.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hadafrac.cli import main
 from hadafrac.errors import DomainError, HadafracError, check_int, check_real
+from hadafrac.expressions import Binary, Const, Unary, Var, eval_expr, parse_expr
 from hadafrac.fuzzing import FuzzConfig, run_trial, trial_seed
 from hadafrac.gammafn import gamma
 from hadafrac.inequalities import (
@@ -48,6 +50,7 @@ from hadafrac.operators import (
     semigroup_residual,
 )
 from hadafrac.randfuncs import (
+    MAX_DEGREE,
     ConstantFunction,
     PiecewiseLogPoly,
     random_bounded_function,
@@ -67,7 +70,6 @@ LOW = st.floats(0.1, 0.9)
 HIGH = st.floats(1.1, 5.0)
 EXPONENTS = st.floats(1.01, 8.0)
 SEEDS = st.integers(0, 2**70)
-PAIRS = st.tuples(ORDERS, ORDERS)
 THEOREMS = st.sampled_from([t.value for t in TheoremId])
 
 ONE = ConstantFunction(1.0)
@@ -110,6 +112,11 @@ CASES = {
                               dict(beta=st.floats(1.0, 5.0), alpha=st.floats(0.01, 0.99),
                                    t=POINTS)),
     "ConstantFunction": (ConstantFunction, dict(value=REAL)),
+    "PiecewiseLogPoly": (PiecewiseLogPoly, dict(
+        breakpoints=st.just((0.0, 1.5)), coefficients=st.just(((1.0, 0.5), (2.5, -0.5))),
+        clip_lo=LOW, clip_hi=HIGH, clipped=st.booleans())),
+    "eval_expr": (lambda value, tau: eval_expr(Binary("mul", Const(value), Var()), tau),
+                  dict(value=REAL, tau=POINTS)),
     "random_bounded_function": (random_bounded_function, dict(
         seed=SEEDS, lo=LOW, hi=HIGH, pieces=st.integers(1, 16), degree=st.integers(0, 4))),
     "random_smooth_function": (random_smooth_function, dict(
@@ -142,15 +149,8 @@ CASES = {
                 dict(r=EXPONENTS, alpha=ORDERS, t=POINTS, **CHECK_OPTIONS)),
     # Constructed only: a huge `trials` is never run.
     "FuzzConfig": (FuzzConfig, dict(
-        theorem_id=THEOREMS, trials=st.integers(1, 10), master_seed=SEEDS,
-        alpha_range=st.one_of(PAIRS, st.tuples(ORDERS, HOSTILE)),
-        beta_range=PAIRS, t_range=st.one_of(st.tuples(st.floats(1.01, 2.0), POINTS)),
-        nodes=SIZES, rel_tol=st.sampled_from([0.0, 1e-9]))),
-    "run_trial": (run_trial, dict(
-        theorem_id=THEOREMS, seed=SEEDS,
-        alpha_range=st.one_of(PAIRS, st.tuples(ORDERS, HOSTILE)),
-        beta_range=PAIRS, t_range=st.one_of(st.tuples(st.floats(1.01, 2.0), POINTS)),
-        nodes=SIZES, rel_tol=st.sampled_from([0.0, 1e-9]))),
+        theorem_id=THEOREMS, trials=st.integers(1, 10), master_seed=SEEDS, **CHECK_OPTIONS)),
+    "run_trial": (run_trial, dict(theorem_id=THEOREMS, seed=SEEDS, **CHECK_OPTIONS)),
     "trial_seed": (trial_seed, dict(master_seed=SEEDS, index=st.integers(0, 10**6))),
 }
 
@@ -251,15 +251,31 @@ def test_every_command_exits_zero_to_three(options, command):
     lambda: jacobi_rule_01(4.0, 0.0),
     lambda: build_jacobi_rule(0.5, 4.0),
     lambda: build_jacobi_rule("a", 4),
-    lambda: run_trial("T31", 0, alpha_range="ab"),
     lambda: HolderPair(math.inf, 1.0000000000001),
     lambda: run_trial("T99", 0),
     lambda: FuzzConfig(theorem_id="T99"),
     lambda: hadamard_integral(np.sqrt, "0.5", 2.0),
     lambda: hadamard_integral_graded(np.sqrt, 0.5, 2.0, n=_MAX_MESH_CELLS + 1),
-    lambda: run_trial("T31", 0, alpha_range=(0.12, 0.13)),
-    lambda: run_trial("T31", 0, alpha_range=(0.1, 1e300)),
     lambda: gamma(5e-324),
+    lambda: PiecewiseLogPoly((0.0,), ((math.nan,),), 1.0, 2.0, False),
+    lambda: PiecewiseLogPoly((0.0, 0.0), ((1.0,), (1.0,)), 1.0, 2.0, False),
+    lambda: PiecewiseLogPoly((0.0, math.inf), ((1.0,), (1.0,)), 1.0, 2.0, False),
+    lambda: PiecewiseLogPoly((1.0,), ((1.0,),), 1.0, 2.0, False),
+    lambda: PiecewiseLogPoly((0.0,), ((1.0,), (1.0,)), 1.0, 2.0, False),
+    lambda: PiecewiseLogPoly((0.0, 1.0), ((1.0, 0.5), (1.0,)), 1.0, 2.0, False),
+    lambda: PiecewiseLogPoly((0.0,), ((1.0,) * (MAX_DEGREE + 2),), 1.0, 2.0, False),
+    lambda: PiecewiseLogPoly((0.0,), ((1.0,),), 2.0, 1.0, False),
+    lambda: Unary("tan", Var()),
+    lambda: Unary("add", Var()),
+    lambda: Binary("max", Var(), Var()),
+    lambda: Binary("sin", Var(), Var()),
+    lambda: Unary("sin", 1.0),
+    lambda: Const(math.inf),
+    lambda: Const(math.nan),
+    lambda: eval_expr(parse_expr("sin(x)"), math.inf),
+    lambda: eval_expr(parse_expr("x"), math.nan),
+    lambda: eval_expr(parse_expr("exp(x)"), np.array([2.0, -math.inf])),
+    lambda: eval_expr(parse_expr("x"), "a"),
 ])
 def test_listed_arguments_are_domain_errors(call):
     with pytest.raises(DomainError):

@@ -176,14 +176,6 @@ class TestConfigValidation:
         "kwargs",
         [
             {"trials": 0},
-            {"alpha_range": (0.01, 1.0)},
-            {"alpha_range": (1.0, 0.5)},
-            {"beta_range": (0.05, 1.0)},
-            {"t_range": (1.0, 2.0)},
-            {"t_range": (3.0, 2.0)},
-            {"t_range": (2.0, math.inf)},
-            {"alpha_range": (0.5, math.inf)},
-            {"beta_range": (0.5, math.nan)},
             {"nodes": 1},
             {"trials": True},
             {"rel_tol": math.inf},
@@ -194,14 +186,22 @@ class TestConfigValidation:
             {"nodes": None},
             {"trials": "a"},
             {"trials": 2.0},
-            {"alpha_range": ("a", 1.0)},
-            {"beta_range": (0.5, None)},
-            {"t_range": 2.0},
-            {"t_range": (2.0,)},
             {"master_seed": 2.5},
             {"master_seed": "a"},
             {"master_seed": None},
             {"master_seed": True},
+            {"nodes": 4097},
+            {"nodes": 0},
+            {"nodes": True},
+            {"rel_tol": "1e-9"},
+            {"rel_tol": None},
+            {"rel_tol": True},
+            {"trials": -1},
+            {"trials": None},
+            {"trials": math.inf},
+            {"master_seed": math.nan},
+            {"master_seed": "0"},
+            {"master_seed": b"1"},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -265,6 +265,17 @@ def test_checks_take_exactly_the_options_run_trial_passes():
         parameters = inspect.signature(getattr(inequalities, name)).parameters.values()
         options = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
         assert options == {"nodes", "rel_tol"}, name
+
+
+def test_fuzz_domain_is_fixed():
+    fields = FuzzConfig.__dataclass_fields__
+    assert fields["alpha_range"].default == fields["beta_range"].default == (0.1, 2.5)
+    assert fields["t_range"].default == (1.25, 15.0)
+    assert fuzzing._ALPHA_SPAN == fuzzing._BETA_SPAN == (2, 51)
+    with pytest.raises(TypeError):
+        FuzzConfig(theorem_id="T31", alpha_range=(0.1, 1.0))
+    with pytest.raises(TypeError):
+        run_trial("T31", 0, t_range=(2.0, 3.0))
 
 
 def test_run_trial_defaults_are_fuzz_configs():

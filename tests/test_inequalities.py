@@ -13,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hadafrac.errors import DomainError, EnvelopeError, HadafracError, QuadratureError
-from hadafrac.fuzzing import ORDER_GRID_STEP, _draw_band, _draw_function, run_trial
+from hadafrac.fuzzing import (
+    ORDER_GRID_STEP,
+    FuzzConfig,
+    _ALPHA_SPAN,
+    _draw_band,
+    _draw_function,
+    run_trial,
+)
 from hadafrac.gammafn import gamma
 from hadafrac.inequalities import (
     BoundingQuadruple,
@@ -533,8 +540,8 @@ def test_constant_envelopes_give_the_special_case(general, special, order_count,
         bands = (*_draw_band(rng), *_draw_band(rng))
         x, _, _ = _draw_function(rng, *bands[:2])
         y, _, _ = _draw_function(rng, *bands[2:])
-        orders = [ORDER_GRID_STEP * int(k) for k in rng.integers(2, 51, size=order_count)]
-        t = float(rng.uniform(1.25, 15.0))
+        orders = [ORDER_GRID_STEP * int(k) for k in rng.integers(*_ALPHA_SPAN, size=order_count)]
+        t = float(rng.uniform(*FuzzConfig.t_range))
         envelope = BoundingQuadruple(*map(ConstantFunction, bands))
         got = general(x, y, envelope, *orders, t).ratio
         want = special(x, y, ConstantBounds(*bands), *orders, t).ratio
