@@ -13,7 +13,9 @@ parse error, 3 numerical non-convergence.  No other codes are used.
 Human-readable numbers carry 15 digits; CSV rows carry 17 significant
 digits and are byte-identical across runs with the same flags and seed.
 The environment variable HADAFRAC_SEED supplies the default master seed
-for `fuzz` when --seed is not given.
+for `fuzz` when --seed is not given.  Fuzz trials are judged by the checks'
+fixed pass rule, which no flag changes, so a failing trial's reproducer
+line needs only --nodes, --seed and --theorem.
 """
 
 import argparse
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .expressions import as_function, parse_expr
 from .fuzzing import FuzzConfig, run_fuzz
-from .inequalities import REL_TOL, TheoremId
+from .inequalities import TheoremId
 from .operators import (
     hadamard_derivative,
     hadamard_integral,
@@ -62,12 +64,6 @@ def _build_parser():
     )
     parser.add_argument(
         "--nodes", type=int, default=64, help="quadrature nodes (default 64)"
-    )
-    parser.add_argument(
-        "--rel-tol",
-        type=float,
-        default=REL_TOL,
-        help=f"relative tolerance for fuzz trials (default {REL_TOL:g})",
     )
     parser.add_argument(
         "--seed",
@@ -196,7 +192,6 @@ def _cmd_fuzz(args):
         trials=args.trials,
         master_seed=master,
         nodes=args.nodes,
-        rel_tol=args.rel_tol,
     )
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -213,8 +208,8 @@ def _cmd_fuzz(args):
     print("wall time %.2f s" % summary.wall_time, file=report_to)
     for seed in summary.failed_seeds:
         print(
-            "reproduce with: hadafrac fuzz --theorem %s --seed %d --trials 1"
-            % (config.theorem_id.value, seed),
+            "reproduce with: hadafrac --nodes %d --seed %d fuzz --theorem %s --trials 1"
+            % (config.nodes, seed, config.theorem_id.value),
             file=report_to,
         )
     return 1 if summary.failures else 0

@@ -98,7 +98,7 @@ class Unary:
     arg: "Node"
 
     def __post_init__(self):
-        if self.op not in _UNARY_OPS or not isinstance(self.arg, Node):
+        if not (isinstance(self.op, str) and self.op in _UNARY_OPS and isinstance(self.arg, Node)):
             raise _bad_node(self, _UNARY_OPS)
 
 
@@ -109,7 +109,8 @@ class Binary:
     rhs: "Node"
 
     def __post_init__(self):
-        if not (self.op in _BY_OP and isinstance(self.lhs, Node) and isinstance(self.rhs, Node)):
+        if not (isinstance(self.op, str) and self.op in _BY_OP
+                and isinstance(self.lhs, Node) and isinstance(self.rhs, Node)):
             raise _bad_node(self, _BY_OP)
 
 

@@ -15,8 +15,10 @@ global generator state exists, so trials can be reproduced in isolation
 and executed in any order.
 
 Clipping can kink a trial function.  Kinked trials are counted in the
-run's summary and judged like every other trial, at rel_tol (default
-1e-9): the measure argument above does not depend on smoothness.
+run's summary and judged like every other trial, by the checks' fixed
+pass rule: the measure argument above does not depend on smoothness.
+With the domain and the tolerance fixed, (theorem, nodes, seed)
+determines a trial completely.
 """
 
 import math
@@ -28,14 +30,7 @@ import numpy as np
 
 from . import inequalities
 from .errors import check_int
-from .inequalities import (
-    REL_TOL,
-    BoundingQuadruple,
-    ConstantBounds,
-    HolderPair,
-    TheoremId,
-    _check_rel_tol,
-)
+from .inequalities import BoundingQuadruple, ConstantBounds, HolderPair, TheoremId
 from .jacobi import MAX_RULE_NODES
 from .randfuncs import ConstantFunction, random_bounded_function
 
@@ -62,7 +57,6 @@ class FuzzConfig:
     trials: int = 100
     master_seed: int = 0
     nodes: int = 64
-    rel_tol: float = REL_TOL
     alpha_range: ClassVar[tuple] = (0.1, 2.5)
     beta_range: ClassVar[tuple] = (0.1, 2.5)
     t_range: ClassVar[tuple] = (1.25, 15.0)
@@ -71,7 +65,6 @@ class FuzzConfig:
         object.__setattr__(self, "theorem_id", TheoremId(self.theorem_id))
         check_int("master_seed", self.master_seed, -math.inf, math.inf)
         check_int("trials", self.trials, 1, math.inf)
-        _check_rel_tol(self.rel_tol)
         check_int("nodes", self.nodes, 2, MAX_RULE_NODES)
 
 
@@ -175,13 +168,13 @@ _TRIALS = {
 }
 
 
-def run_trial(theorem_id, seed, *, nodes=FuzzConfig.nodes, rel_tol=FuzzConfig.rel_tol):
+def run_trial(theorem_id, seed, *, nodes=FuzzConfig.nodes):
     """Run the single fuzz trial identified by (theorem_id, seed).
 
     Fully reproducible: the seed determines every draw, so a CSV row's
     seed column reruns its trial in isolation.  Returns (report, kinked),
     with the seed stamped on the report.  Every trial, kinked or not, is
-    judged at rel_tol.
+    judged by the same fixed pass rule.
     """
     check, family, order_count = _TRIALS[TheoremId(theorem_id)]
     seed = check_int("seed", seed, -math.inf, math.inf)
@@ -203,8 +196,7 @@ def run_trial(theorem_id, seed, *, nodes=FuzzConfig.nodes, rel_tol=FuzzConfig.re
     x_fn, y_fn, hypothesis = family(rng, saturating, x_fn, y_fn, bands)
     kinked = any(getattr(f, "clipped", False) for f in (x_fn, y_fn))
     report = getattr(inequalities, check)(
-        x_fn, y_fn, *hypothesis, *(alpha, beta)[:order_count], t,
-        nodes=nodes, rel_tol=rel_tol,
+        x_fn, y_fn, *hypothesis, *(alpha, beta)[:order_count], t, nodes=nodes
     )
     return replace(report, seed=seed), kinked
 
@@ -224,9 +216,7 @@ def run_fuzz(config, csv_file=None):
     start = time.perf_counter()
     for index in range(config.trials):
         seed = trial_seed(config.master_seed, index)
-        report, kinked = run_trial(
-            config.theorem_id, seed, nodes=config.nodes, rel_tol=config.rel_tol
-        )
+        report, kinked = run_trial(config.theorem_id, seed, nodes=config.nodes)
         kinked_trials += kinked
         if not report.passed:
             failed_seeds.append(seed)

@@ -16,9 +16,10 @@ and the command line:
   POWMEAN  power-mean bound for (x + y)^r
 
 Every inequality here is a proven theorem, so a failed check indicates a
-numerical or transcription bug, never new mathematics.  The tolerance
-policy (pass iff lhs <= bound * (1 + rel_tol) + ABS_TOL) absorbs only
-round-off.
+numerical or transcription bug, never new mathematics.  The pass rule
+(lhs <= bound * (1 + REL_TOL) + ABS_TOL) absorbs only round-off, so both
+tolerances are constants, not options: a report carries lhs and bound,
+from which a caller can judge it at any other threshold.
 
 Every check runs on the positive discrete measure that the Gauss-Jacobi
 rule of each order induces at t (`operators.Measure`).  Each function is
@@ -129,10 +130,11 @@ class HolderPair:
 class InequalityReport:
     """Outcome of one inequality check.
 
-    `passed` is lhs <= bound * (1 + rel_tol) + ABS_TOL; `ratio` is
-    lhs / bound (infinite only when bound = 0 < lhs) and `margin` is
-    bound - lhs.  `params` records alpha, beta, t, p, q as applicable,
-    plus check-specific extras; `seed` is set for fuzzed trials.
+    `passed` is the fixed rule lhs <= bound * (1 + REL_TOL) + ABS_TOL;
+    `ratio` is lhs / bound (infinite only when bound = 0 < lhs) and
+    `margin` is bound - lhs.  `params` records alpha, beta, t, p, q as
+    applicable, plus check-specific extras; `seed` is set for fuzzed
+    trials.
     """
 
     theorem_id: TheoremId
@@ -151,15 +153,7 @@ def _check_fields(record):
         object.__setattr__(record, name, check_real(name, getattr(record, name)))
 
 
-def _check_rel_tol(rel_tol):
-    rel_tol = check_real("rel_tol", rel_tol)
-    if rel_tol < 0.0:
-        raise DomainError(f"rel_tol must be >= 0, got {rel_tol!r}")
-    return rel_tol
-
-
-def _report(theorem_id, lhs, bound, params, rel_tol):
-    rel_tol = _check_rel_tol(rel_tol)
+def _report(theorem_id, lhs, bound, params):
     lhs = float(lhs)
     bound = float(bound)
     if not (math.isfinite(lhs) and math.isfinite(bound)):
@@ -176,7 +170,7 @@ def _report(theorem_id, lhs, bound, params, rel_tol):
         bound=bound,
         ratio=ratio,
         margin=bound - lhs,
-        passed=bool(lhs <= bound * (1.0 + rel_tol) + ABS_TOL),
+        passed=bool(lhs <= bound * (1.0 + REL_TOL) + ABS_TOL),
         params=params,
     )
 
@@ -272,7 +266,7 @@ def _quotient(num, den):
 
 
 @_finite
-def polya_szego_single(x, y, env, alpha, t, *, nodes=64, rel_tol=REL_TOL):
+def polya_szego_single(x, y, env, alpha, t, *, nodes=64):
     """One-order Polya-Szego type check (T31).
 
     lhs   = I^a{v1 v2 x^2}(t) * I^a{u1 u2 y^2}(t)
@@ -284,11 +278,11 @@ def polya_szego_single(x, y, env, alpha, t, *, nodes=64, rel_tol=REL_TOL):
     _require_bands(tau, xv, yv, u1, u2, v1, v2)
     lhs = ia(v1 * v2 * xv**2) * ia(u1 * u2 * yv**2)
     bound = 0.25 * ia((v1 * u1 + v2 * u2) * xv * yv) ** 2
-    return _report(TheoremId.T31, lhs, bound, params, rel_tol)
+    return _report(TheoremId.T31, lhs, bound, params)
 
 
 @_finite
-def polya_szego_double(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL):
+def polya_szego_double(x, y, env, alpha, beta, t, *, nodes=64):
     """Two-order Polya-Szego type check (T32).
 
     lhs   = I^a{u1 u2}(t) I^b{v1 v2}(t) I^a{x^2}(t) I^b{y^2}(t)
@@ -300,11 +294,11 @@ def polya_szego_double(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL):
     _require_bands(tau, xv, yv, u1, u2, v1, v2)
     lhs = ia(u1 * u2) * ib(v1 * v2) * ia(xv**2) * ib(yv**2)
     cross = ia(u1 * xv) * ib(v1 * yv) + ia(u2 * xv) * ib(v2 * yv)
-    return _report(TheoremId.T32, lhs, 0.25 * cross**2, params, rel_tol)
+    return _report(TheoremId.T32, lhs, 0.25 * cross**2, params)
 
 
 @_finite
-def product_bound(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL):
+def product_bound(x, y, env, alpha, beta, t, *, nodes=64):
     """Envelope-ratio product check (T33).
 
     lhs   = I^a{x^2}(t) * I^b{y^2}(t)
@@ -319,7 +313,7 @@ def product_bound(x, y, env, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL):
     _require_bands(tau, xv, yv, u1, u2, v1, v2)
     lhs = ia(xv**2) * ib(yv**2)
     bound = ia(u2 * xv * yv / v1) * ib(v2 * xv * yv / u1)
-    return _report(TheoremId.T33, lhs, bound, params, rel_tol)
+    return _report(TheoremId.T33, lhs, bound, params)
 
 
 def _constant_ps_bound(cb):
@@ -330,7 +324,7 @@ def _constant_ps_bound(cb):
 
 
 @_finite
-def constant_polya_szego(x, y, cb, alpha, t, *, nodes=64, rel_tol=REL_TOL):
+def constant_polya_szego(x, y, cb, alpha, t, *, nodes=64):
     """Constant-envelope Polya-Szego ratio check (P31).
 
     lhs   = I^a{x^2}(t) I^a{y^2}(t) / (I^a{x y}(t))^2
@@ -339,11 +333,11 @@ def constant_polya_szego(x, y, cb, alpha, t, *, nodes=64, rel_tol=REL_TOL):
     tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
     lhs = _quotient(ia(xv**2) * ia(yv**2), ia(xv * yv) ** 2)
-    return _report(TheoremId.P31, lhs, _constant_ps_bound(cb), params, rel_tol)
+    return _report(TheoremId.P31, lhs, _constant_ps_bound(cb), params)
 
 
 @_finite
-def constant_polya_szego_two_order(x, y, cb, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL):
+def constant_polya_szego_two_order(x, y, cb, alpha, beta, t, *, nodes=64):
     """Two-order constant-envelope ratio check (P32).
 
     lhs   = prefactor * I^a{x^2}(t) I^b{y^2}(t) / (I^a{x}(t) I^b{y}(t))^2
@@ -357,11 +351,11 @@ def constant_polya_szego_two_order(x, y, cb, alpha, beta, t, *, nodes=64, rel_to
     _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
     prefactor = power_rule_integral(1.0, alpha, t) * power_rule_integral(1.0, beta, t)
     lhs = _quotient(prefactor * ia(xv**2) * ib(yv**2), (ia(xv) * ib(yv)) ** 2)
-    return _report(TheoremId.P32, lhs, _constant_ps_bound(cb), params, rel_tol)
+    return _report(TheoremId.P32, lhs, _constant_ps_bound(cb), params)
 
 
 @_finite
-def ratio_bound_constant(x, y, cb, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL):
+def ratio_bound_constant(x, y, cb, alpha, beta, t, *, nodes=64):
     """Constant-envelope product comparison across two orders (P33).
 
     lhs   = I^a{x^2}(t) * I^b{y^2}(t)
@@ -372,11 +366,11 @@ def ratio_bound_constant(x, y, cb, alpha, beta, t, *, nodes=64, rel_tol=REL_TOL)
     lhs = ia(xv**2) * ib(yv**2)
     factor = (cb.M * cb.N_hi) / (cb.m * cb.n_lo)
     bound = factor * ia(xv * yv) * ib(xv * yv)
-    return _report(TheoremId.P33, lhs, bound, params, rel_tol)
+    return _report(TheoremId.P33, lhs, bound, params)
 
 
 @_finite
-def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64, rel_tol=REL_TOL):
+def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64):
     """Minkowski-type check via a Young splitting (T34).
 
     Requires 0 < m < x/y < M pointwise, with M finite.  Then
@@ -408,22 +402,22 @@ def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64, rel_tol=REL_TOL):
         1.0 / (m + 1.0)
     ) ** q * ia((xv + yv) ** q)
     params.update(p=p, q=q, m=m, M=M, young_mid=mid)
-    return _report(TheoremId.T34, ia(xv * yv), bound, params, rel_tol)
+    return _report(TheoremId.T34, ia(xv * yv), bound, params)
 
 
 @_finite
-def young_pointwise_check(x, y, hp, alpha, t, *, nodes=64, rel_tol=REL_TOL):
+def young_pointwise_check(x, y, hp, alpha, t, *, nodes=64):
     """Young product check (YOUNG): I^a{x y} <= I^a{x^p}/p + I^a{y^q}/q."""
     tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require_signs(tau, xv, yv)
     p, q = hp.p, hp.q
     bound = (1.0 / p) * ia(xv**p) + (1.0 / q) * ia(yv**q)
     params.update(p=p, q=q)
-    return _report(TheoremId.YOUNG, ia(xv * yv), bound, params, rel_tol)
+    return _report(TheoremId.YOUNG, ia(xv * yv), bound, params)
 
 
 @_finite
-def power_mean_check(x, y, r, alpha, t, *, nodes=64, rel_tol=REL_TOL):
+def power_mean_check(x, y, r, alpha, t, *, nodes=64):
     """Power-mean check (POWMEAN): I^a{(x+y)^r} <= 2^(r-1) I^a{x^r + y^r}."""
     r = check_real("r", r)
     if not r > 1.0:
@@ -432,4 +426,4 @@ def power_mean_check(x, y, r, alpha, t, *, nodes=64, rel_tol=REL_TOL):
     _require_signs(tau, xv, yv)
     bound = 2.0 ** (r - 1.0) * ia(xv**r + yv**r)
     params["r"] = r
-    return _report(TheoremId.POWMEAN, ia((xv + yv) ** r), bound, params, rel_tol)
+    return _report(TheoremId.POWMEAN, ia((xv + yv) ** r), bound, params)

@@ -64,16 +64,16 @@ class PiecewiseLogPoly:
     [breakpoints[j], breakpoints[j+1]) and the last piece extends right.
     Coefficients are stored lowest degree first, in the unshifted variable
     ln tau, one row of equal length per piece.  The unclipped polynomial is
-    continuous at every breakpoint; `clipped` records whether clipping
-    engages anywhere on the design span [0, LOG_SPAN], decided exactly
-    rather than on a sample grid.
+    continuous at every breakpoint.  `clipped` is computed, not passed in:
+    whether clipping engages anywhere on the design span [0, LOG_SPAN],
+    decided exactly rather than on a sample grid.
     """
 
     breakpoints: tuple
     coefficients: tuple
     clip_lo: float
     clip_hi: float
-    clipped: bool
+    clipped: bool = field(init=False)
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -94,6 +94,13 @@ class PiecewiseLogPoly:
             )
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_rows", rows)
+        # The pieces that start on the design span, each cut off at LOG_SPAN.
+        count = edges.searchsorted(LOG_SPAN, side="right")
+        ends = np.empty((2, count))
+        ends[0] = edges[:count]
+        ends[1, :-1] = edges[1:count]
+        ends[1, -1] = LOG_SPAN
+        object.__setattr__(self, "clipped", _clips(ends, rows[:count], self.clip_lo, self.clip_hi))
 
     def unclipped(self, tau):
         """Evaluate the continuous piecewise polynomial without clipping."""
@@ -112,11 +119,14 @@ class PiecewiseLogPoly:
 
 
 def _floats(value):
-    """`value` as a float array; an empty one if it is ragged or not numbers."""
+    """`value` as a float array; an empty one if it is ragged or its entries
+    are not all ints or floats: a numeric string is refused, as check_real
+    refuses it."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        arr = np.asarray(value)
+    except (TypeError, ValueError):
         return np.empty(0)
+    return arr.astype(float, copy=False) if arr.dtype.kind in "iuf" else np.empty(0)
 
 
 def _horner(rows, u):
@@ -154,6 +164,7 @@ def _continuous_pieces(rng, ends, degree, lo, hi):
     return coeffs
 
 
+@np.errstate(all="ignore")
 def _clips(ends, coeffs, lo, hi):
     """Whether some piece leaves [lo, hi] between its ends (as in ends[:, j]).
 
@@ -162,16 +173,20 @@ def _clips(ends, coeffs, lo, hi):
     come from the quadratic formula for degree 3 and from the eigenvalues
     of the companion matrix for degree 4; complex roots contribute their
     real parts, which are points of the interval too once clipped into it.
+    A value that overflows is infinite, so it leaves the band.
     """
     points = [ends]
     degree = coeffs.shape[1] - 1
     if degree >= 2:
         deriv = coeffs[:, 1:] * np.arange(1, degree + 1)
-        lead = deriv[:, -1]
-        flat = lead == 0.0
         # Lower coefficients of the monic derivative, negated: the last
-        # column of its companion matrix.
-        column = -deriv[:, :-1] / np.where(flat, 1.0, lead)[:, None]
+        # column of its companion matrix.  A leading coefficient of 0,
+        # or one too small to divide by, leaves a row that is not finite.
+        column = -deriv[:, :-1] / deriv[:, -1:]
+        flat = []
+        if not all_finite(column):
+            flat = np.flatnonzero(~np.isfinite(column).all(axis=1))
+            column[flat] = 0.0
         if degree == 2:
             roots = column  # a 1 x 1 matrix is its own eigenvalue
         elif degree == 3:
@@ -185,9 +200,14 @@ def _clips(ends, coeffs, lo, hi):
             companion[:, (1, 2), (0, 1)] = 1.0
             companion[:, :, -1] = column
             roots = np.linalg.eigvals(companion).real
-        for j in np.flatnonzero(flat):
-            # np.roots drops the vanishing leading terms; pad with an end.
-            found = np.roots(deriv[j, ::-1]).real
+        for j in flat:
+            # Drop the leading terms too small to divide by (zeros among
+            # them): they move the roots that matter by less than
+            # round-off.  Pad the roots with an end.
+            row = deriv[j]
+            while row.size > 1 and not np.isfinite(row[:-1] / row[-1]).all():
+                row = row[:-1]
+            found = np.roots(row[::-1]).real
             roots[j] = ends[0, j]
             roots[j, : found.size] = found
         points.append(np.minimum(np.maximum(roots.T, ends[0]), ends[1]))
@@ -231,7 +251,6 @@ def random_bounded_function(seed, lo, hi, pieces, degree):
         coefficients=tuple([tuple(row) for row in coeffs.tolist()]),
         clip_lo=lo,
         clip_hi=hi,
-        clipped=_clips(ends, coeffs, lo, hi),
     )
     return fn, ConstantFunction(lo), ConstantFunction(hi)
 
@@ -258,5 +277,4 @@ def random_smooth_function(seed, lo, hi, degree=4):
         coefficients=(coeffs,),
         clip_lo=lo,
         clip_hi=hi,
-        clipped=False,
     )

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -198,20 +199,31 @@ class TestFuzzCommand:
         monkeypatch.setattr(inequalities, "product_bound", flaky)
         path = tmp_path / "run.csv"
         code, out, _ = run_cli(
-            capsys, "--seed", "40", "--out", str(path), "fuzz", "--theorem", "T33", "--trials", "8"
+            capsys, "--nodes", "16", "--seed", "40", "--out", str(path),
+            "fuzz", "--theorem", "T33", "--trials", "8",
         )
         seeds = (41, 44, 45)
         assert code == 1
         assert "failures 3" in out.splitlines()
-        assert out.splitlines()[-3:] == [
-            f"reproduce with: hadafrac fuzz --theorem T33 --seed {seed} --trials 1"
+        reproducers = out.splitlines()[-3:]
+        assert reproducers == [
+            f"reproduce with: hadafrac --nodes 16 --seed {seed} fuzz --theorem T33 --trials 1"
             for seed in seeds
         ]
         rows = path.read_text().splitlines()[1:]
-        assert [int(row.split(",")[6]) for row in rows if row.endswith(",false")] == list(seeds)
-        summary = run_fuzz(FuzzConfig("T33", trials=8, master_seed=40))
+        failing = [row.split(",") for row in rows if row.endswith(",false")]
+        assert [int(row[6]) for row in failing] == list(seeds)
+        summary = run_fuzz(FuzzConfig("T33", trials=8, master_seed=40, nodes=16))
         assert summary.failed_seeds == seeds
         assert (summary.passes, summary.failures) == (5, 3)
+        # Each printed command replays its trial: the same lhs and bound, bit for bit.
+        for line, row in zip(reproducers, failing):
+            program, *argv = shlex.split(line.removeprefix("reproduce with: "))
+            assert program == "hadafrac"
+            replay = tmp_path / "replay.csv"
+            run_cli(capsys, "--out", str(replay), *argv)
+            (replayed,) = [r.split(",") for r in replay.read_text().splitlines()[1:]]
+            assert replayed[6:9] == row[6:9]
 
 
 class TestExitCodes:
@@ -258,13 +270,14 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "integrate", "1", "1.0", "0.5")
         assert code == 2
 
+    # The pass rule is fixed, so no tolerance is a flag.
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])
     def test_bad_fuzz_tolerance_is_two(self, capsys, tol):
-        code, out, err = run_cli(
-            capsys, f"--rel-tol={tol}", "--seed", "1", "fuzz", "--theorem", "T31", "--trials", "3"
-        )
-        assert code == 2
-        assert "rel_tol" in err
+        with pytest.raises(SystemExit) as info:
+            main([f"--rel-tol={tol}", "--seed", "1", "fuzz", "--theorem", "T31", "--trials", "3"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert "unrecognized arguments: --rel-tol" in err
         assert "passes" not in out
 
     def test_too_many_nodes_is_two(self, capsys):

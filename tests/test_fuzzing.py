@@ -19,7 +19,7 @@ from hadafrac.fuzzing import (
     run_trial,
     trial_seed,
 )
-from hadafrac.inequalities import TheoremId
+from hadafrac.inequalities import ABS_TOL, TheoremId
 
 ALL_CHECKS = list(TheoremId)
 
@@ -178,9 +178,9 @@ class TestConfigValidation:
             {"trials": 0},
             {"nodes": 1},
             {"trials": True},
-            {"rel_tol": math.inf},
-            {"rel_tol": math.nan},
-            {"rel_tol": -1e-9},
+            {"nodes": 64.0},
+            {"master_seed": 1e3},
+            {"nodes": math.nan},
             {"nodes": "a"},
             {"nodes": 2.5},
             {"nodes": None},
@@ -193,9 +193,9 @@ class TestConfigValidation:
             {"nodes": 4097},
             {"nodes": 0},
             {"nodes": True},
-            {"rel_tol": "1e-9"},
-            {"rel_tol": None},
-            {"rel_tol": True},
+            {"nodes": "64"},
+            {"trials": "5"},
+            {"trials": 1.5},
             {"trials": -1},
             {"trials": None},
             {"trials": math.inf},
@@ -226,13 +226,15 @@ KINKED_T31_SEED = 2
 
 
 class TestTrialTolerance:
+    # The tolerance is no option of run_trial, so every value is refused.
     @pytest.mark.parametrize("seed", [SMOOTH_T31_SEED, KINKED_T31_SEED])
     @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, -1e-9, "1e-9", None])
     def test_bad_rel_tol_rejected(self, rel_tol, seed):
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             run_trial(TheoremId.T31, seed, rel_tol=rel_tol)
 
-    # Kinked or smooth, every trial is judged at exactly its rel_tol.
+    # Kinked or smooth, every trial is judged at exactly inequalities.REL_TOL,
+    # and run_trial hands the check no tolerance of its own.
     @pytest.mark.parametrize(
         "seed, rel_tol, judged_at",
         [
@@ -246,25 +248,37 @@ class TestTrialTolerance:
         self, monkeypatch, seed, rel_tol, judged_at
     ):
         # The fuzzer looks each check up by name at call time, so a spy
-        # bound to that name sees the tolerance it passes.
+        # bound to that name sees the options it passes.  Patching the
+        # constant shows which name the pass rule reads.
         seen = []
         check = inequalities.polya_szego_single
 
         def spy(*args, **kwargs):
-            seen.append(kwargs["rel_tol"])
+            seen.append(kwargs)
             return check(*args, **kwargs)
 
         monkeypatch.setattr(inequalities, "polya_szego_single", spy)
-        _, kinked = run_trial(TheoremId.T31, seed, rel_tol=rel_tol)
+        monkeypatch.setattr(inequalities, "REL_TOL", rel_tol)
+        report, kinked = run_trial(TheoremId.T31, seed)
         assert kinked == (seed == KINKED_T31_SEED)
-        assert seen == [judged_at]
+        assert seen == [{"nodes": FuzzConfig.nodes}]
+        assert report.passed == (
+            report.lhs <= report.bound * (1.0 + judged_at) + ABS_TOL
+        )
+
+
+def test_the_tolerance_is_not_an_option():
+    fields = [f.name for f in dataclasses.fields(FuzzConfig) if f.init]
+    assert fields == ["theorem_id", "trials", "master_seed", "nodes"]
+    with pytest.raises(TypeError):
+        FuzzConfig(theorem_id="T31", rel_tol=1e-9)
 
 
 def test_checks_take_exactly_the_options_run_trial_passes():
     for name, _family, _orders in fuzzing._TRIALS.values():
         parameters = inspect.signature(getattr(inequalities, name)).parameters.values()
         options = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
-        assert options == {"nodes", "rel_tol"}, name
+        assert options == {"nodes"}, name
 
 
 def test_fuzz_domain_is_fixed():

@@ -23,12 +23,14 @@ from hadafrac.fuzzing import (
 )
 from hadafrac.gammafn import gamma
 from hadafrac.inequalities import (
+    ABS_TOL,
     BoundingQuadruple,
     ConstantBounds,
     HolderPair,
     InequalityReport,
     REL_TOL,
     TheoremId,
+    _report,
     _require,
     constant_polya_szego,
     constant_polya_szego_two_order,
@@ -556,9 +558,9 @@ LEVELS = st.one_of(st.floats(0.1, 5.0), st.sampled_from(EXTREMES + [0.0]))
 EXPONENTS = st.one_of(st.floats(1.01, 8.0), st.sampled_from(EXTREMES))
 
 
-def _call_check(theorem, x, y, lo, hi, alpha, beta, t, p, rel_tol=REL_TOL):
+def _call_check(theorem, x, y, lo, hi, alpha, beta, t, p, **options):
     band = BoundingQuadruple(*map(ConstantFunction, (lo, hi, lo, hi)))
-    kw = dict(nodes=16, rel_tol=rel_tol)
+    kw = dict(nodes=16, **options)
     calls = {
         TheoremId.T31: lambda: polya_szego_single(x, y, band, alpha, t, **kw),
         TheoremId.T32: lambda: polya_szego_double(x, y, band, alpha, beta, t, **kw),
@@ -579,12 +581,19 @@ def _call_check(theorem, x, y, lo, hi, alpha, beta, t, p, rel_tol=REL_TOL):
 
 
 @pytest.mark.parametrize("theorem", list(TheoremId))
-def test_bad_rel_tol_is_rejected(theorem):
+def test_every_check_applies_the_fixed_pass_rule(theorem):
     args = (theorem, ONE, ONE, 0.5, 2.0, 0.5, 0.75, E, 2.0)
-    assert _call_check(*args).passed
-    for rel_tol in (math.inf, math.nan, -1e-9, "1e-9"):
-        with pytest.raises(DomainError):
-            _call_check(*args, rel_tol=rel_tol)
+    report = _call_check(*args)
+    assert report.passed
+    assert report.passed == (report.lhs <= report.bound * (1.0 + REL_TOL) + ABS_TOL)
+    with pytest.raises(TypeError):
+        _call_check(*args, rel_tol=1e-9)
+
+
+def test_pass_rule_boundary():
+    edge = 2.0 * (1.0 + REL_TOL) + ABS_TOL
+    assert _report(TheoremId.T31, edge, 2.0, {}).passed
+    assert not _report(TheoremId.T31, math.nextafter(edge, math.inf), 2.0, {}).passed
 
 
 @settings(max_examples=300, deadline=2000)

@@ -174,9 +174,10 @@ class TestContinuity:
         peak = 0.5 * (grid[1000] + grid[1001])
         # hi + 1e-9 - (u - peak)^2 / 2, lowest degree first.
         row = (hi + 1e-9 - 0.5 * peak**2, peak, -0.5)
-        fn = PiecewiseLogPoly((0.0,), (row,), lo, hi, clipped=False)
+        fn = PiecewiseLogPoly((0.0,), (row,), lo, hi)
         scan = fn.unclipped(np.exp(grid))
         assert np.all((lo < scan) & (scan < hi))
+        assert fn.clipped
         ends = np.array([[0.0], [LOG_SPAN]])
         assert _clips(ends, np.array([row]), lo, hi)
         assert not _clips(ends, np.array([row]), lo, hi + 2e-9)
@@ -230,6 +231,49 @@ class TestContinuity:
         fn, _, _ = random_bounded_function(3, 0.01, 100.0, 2, 1)
         assert not fn.clipped
         assert np.array_equal(fn(DENSE_TAU), fn.unclipped(DENSE_TAU))
+
+
+class TestComputedFlag:
+    def test_flag_is_computed_not_passed(self):
+        # Every value of the constant 5 is clipped to 2.
+        assert PiecewiseLogPoly((0.0,), ((5.0,),), 1.0, 2.0).clipped
+        assert not PiecewiseLogPoly((0.0,), ((1.5,),), 1.0, 2.0).clipped
+        with pytest.raises(TypeError):
+            PiecewiseLogPoly((0.0,), ((5.0,),), 1.0, 2.0, False)
+
+    @pytest.mark.parametrize(
+        "breakpoints, coefficients, clipped",
+        [
+            # 1 + 0.2u reaches 1.6 at LOG_SPAN and leaves the band only past it.
+            ((0.0,), ((1.0, 0.2),), False),
+            # A piece that starts past LOG_SPAN is off the design span ...
+            ((0.0, LOG_SPAN + 1.0), ((1.5,), (5.0,)), False),
+            # ... and one that starts at LOG_SPAN is on it, at one point.
+            ((0.0, LOG_SPAN), ((1.5,), (5.0,)), True),
+            # The last piece on the span ends at LOG_SPAN, not at the next breakpoint.
+            ((0.0, 2.0, LOG_SPAN + 1.0), ((1.5, 0.0), (-0.5, 0.9), (5.0, 0.0)), False),
+            ((0.0, 2.0, LOG_SPAN + 1.0), ((1.5, 0.0), (-0.5, 1.1), (5.0, 0.0)), True),
+        ],
+    )
+    def test_flag_covers_the_design_span_only(self, breakpoints, coefficients, clipped):
+        assert PiecewiseLogPoly(breakpoints, coefficients, 0.5, 2.5).clipped == clipped
+
+    @pytest.mark.parametrize(
+        "row, clipped",
+        [
+            # Leading coefficients too small to divide by: u + 1e-310 u^4
+            # falls below 0.5 near u = 0; 1 + 1.5u - 0.5u^2 + tiny peaks at 2.125.
+            ((0.0, 1.0, 0.0, 0.0, 1e-310), True),
+            ((1.0, 1.5, -0.5, 1e-320, 1e-310), False),
+            ((1.0, 0.1, 1e-320, 1e-310), False),
+            # Coefficients whose values on the span overflow leave the band.
+            ((1.0, 1e308, 0.0, 0.0, 1.0), True),
+            ((1e308,) * 5, True),
+        ],
+    )
+    def test_extreme_rows_get_a_flag_without_warnings(self, row, clipped):
+        with np.errstate(all="raise"):
+            assert PiecewiseLogPoly((0.0,), (row,), 0.5, 2.5).clipped == clipped
 
 
 class TestEvaluation:
