@@ -21,7 +21,6 @@ from .fuzzing import FuzzConfig, run_fuzz, run_trial
 from .inequalities import (
     BoundingQuadruple,
     ConstantBounds,
-    HolderPair,
     constant_polya_szego,
     constant_polya_szego_two_order,
     minkowsky_related,
@@ -56,7 +55,6 @@ __all__ = [
     "ExprSyntaxError",
     "FuzzConfig",
     "HadafracError",
-    "HolderPair",
     "QuadratureError",
     "RoughnessWarning",
     "as_function",

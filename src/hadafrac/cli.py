@@ -12,15 +12,14 @@ parse error, 3 numerical non-convergence.  No other codes are used.
 
 Human-readable numbers carry 15 digits; CSV rows carry 17 significant
 digits and are byte-identical across runs with the same flags and seed.
-The environment variable HADAFRAC_SEED supplies the default master seed
-for `fuzz` when --seed is not given.  Fuzz trials are judged by the checks'
-fixed pass rule, which no flag changes, so a failing trial's reproducer
-line needs only --nodes, --seed and --theorem.
+The master seed of `fuzz` is --seed, 0 when not given.  Fuzz trials are
+judged by the checks' fixed pass rule, which no flag changes, so a failing
+trial's reproducer line needs only --nodes, --seed and --theorem.  An --out
+file that cannot be opened for writing is a usage error.
 """
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -68,8 +67,8 @@ def _build_parser():
     parser.add_argument(
         "--seed",
         type=int,
-        default=None,
-        help="master seed for fuzz (default: $HADAFRAC_SEED, else 0)",
+        default=FuzzConfig.master_seed,
+        help="master seed for fuzz (default %(default)s)",
     )
     parser.add_argument(
         "--out", type=str, default=None, help="CSV output path for fuzz"
@@ -111,18 +110,6 @@ def _build_parser():
         "--trials", type=int, default=100, help="number of trials (default 100)"
     )
     return parser
-
-
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("HADAFRAC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"HADAFRAC_SEED is not an integer: {env!r}")
-    return 0
 
 
 def _require_converged(result, tol, what):
@@ -186,15 +173,18 @@ def _cmd_semigroup(args):
 
 
 def _cmd_fuzz(args):
-    master = _resolve_seed(args)
     config = FuzzConfig(
         theorem_id=args.theorem,
         trials=args.trials,
-        master_seed=master,
+        master_seed=args.seed,
         nodes=args.nodes,
     )
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+        with fh:
             summary = run_fuzz(config, csv_file=fh)
         report_to = sys.stdout
     else:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import inequalities
 from .errors import check_int
-from .inequalities import BoundingQuadruple, ConstantBounds, HolderPair, TheoremId
+from .inequalities import BoundingQuadruple, ConstantBounds, TheoremId, conjugate_exponent
 from .jacobi import MAX_RULE_NODES
 from .randfuncs import ConstantFunction, random_bounded_function
 
@@ -128,19 +128,19 @@ def _constant_bounds(rng, saturating, x, y, bands):
 
 
 def _ratio_band(rng, saturating, x, y, bands):
-    hp = HolderPair.conjugate(float(rng.uniform(1.2, 4.0)))
+    p = float(rng.uniform(1.2, 4.0))
     if saturating:
-        return x, x, (hp, 0.9, 1.1)
+        return x, x, (p, 0.9, 1.1)
     lo_x, hi_x, lo_y, hi_y = bands
-    return x, y, (hp, 0.999 * lo_x / hi_y, 1.001 * hi_x / lo_y)
+    return x, y, (p, 0.999 * lo_x / hi_y, 1.001 * hi_x / lo_y)
 
 
 def _holder(rng, saturating, x, y, bands):
-    hp = HolderPair.conjugate(float(rng.uniform(1.2, 4.0)))
+    p = float(rng.uniform(1.2, 4.0))
     if saturating:
         # Young saturates when x^p = y^q pointwise.
-        y = ConstantFunction(x.value ** (hp.p / hp.q))
-    return x, y, (hp,)
+        y = ConstantFunction(x.value ** (p / conjugate_exponent(p)))
+    return x, y, (p,)
 
 
 def _power(rng, saturating, x, y, bands):

@@ -15,6 +15,9 @@ and the command line:
   YOUNG    Young product bound
   POWMEAN  power-mean bound for (x + y)^r
 
+T34 and YOUNG take an exponent p > 1 and use its conjugate q = p / (p - 1),
+so 1/p + 1/q = 1 holds by construction; POWMEAN takes its exponent r > 1.
+
 Every inequality here is a proven theorem, so a failed check indicates a
 numerical or transcription bug, never new mathematics.  The pass rule
 (lhs <= bound * (1 + REL_TOL) + ABS_TOL) absorbs only round-off, so both
@@ -50,8 +53,6 @@ ENVELOPE_SAMPLES = 256
 
 # Exponents of the geometric grid: t ** _UNIT spans [1, t].
 _UNIT = np.linspace(0.0, 1.0, ENVELOPE_SAMPLES)
-
-HOLDER_TOL = 1e-12
 
 
 class TheoremId(str, enum.Enum):
@@ -102,31 +103,6 @@ class ConstantBounds:
 
 
 @dataclass(frozen=True)
-class HolderPair:
-    """Conjugate exponents p, q > 1 with 1/p + 1/q = 1."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        _check_fields(self)
-        if not (self.p > 1.0 and self.q > 1.0):
-            raise DomainError(f"need p, q > 1, got p={self.p:g}, q={self.q:g}")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > HOLDER_TOL:
-            raise DomainError(
-                f"exponents are not conjugate: 1/{self.p:g} + 1/{self.q:g} != 1"
-            )
-
-    @classmethod
-    def conjugate(cls, p):
-        """Build the pair (p, p / (p - 1)) from a single exponent p > 1."""
-        p = check_real("p", p)
-        if p <= 1.0:
-            raise DomainError(f"need p > 1, got {p:g}")
-        return cls(p, p / (p - 1.0))
-
-
-@dataclass(frozen=True)
 class InequalityReport:
     """Outcome of one inequality check.
 
@@ -151,6 +127,19 @@ def _check_fields(record):
     """Store each field of a frozen dataclass as a finite float, or DomainError."""
     for name in record.__dataclass_fields__:
         object.__setattr__(record, name, check_real(name, getattr(record, name)))
+
+
+def _exponent(name, value):
+    """An exponent as a float, or DomainError unless it exceeds 1."""
+    value = check_real(name, value)
+    if not value > 1.0:
+        raise DomainError(f"need {name} > 1, got {value:g}")
+    return value
+
+
+def conjugate_exponent(p):
+    """The exponent q with 1/p + 1/q = 1, for an exponent p > 1."""
+    return p / (p - 1.0)
 
 
 def _report(theorem_id, lhs, bound, params):
@@ -370,10 +359,11 @@ def ratio_bound_constant(x, y, cb, alpha, beta, t, *, nodes=64):
 
 
 @_finite
-def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64):
+def minkowsky_related(x, y, p, m, M, alpha, t, *, nodes=64):
     """Minkowski-type check via a Young splitting (T34).
 
-    Requires 0 < m < x/y < M pointwise, with M finite.  Then
+    Takes an exponent p > 1 and uses its conjugate q = p / (p - 1).  Requires
+    0 < m < x/y < M pointwise, with M finite.  Then
 
       lhs   = I^a{x y}(t)
       bound = (2^(p-1) M^p / (p (M+1)^p)) * I^a{x^p + y^p}(t)
@@ -387,6 +377,7 @@ def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64):
     satisfies lhs <= mid <= bound pointwise in exact arithmetic; it is
     recorded in params["young_mid"] so the chain can be audited.
     """
+    p = _exponent("p", p)
     m, M = check_real("m", m), check_real("M", M)
     if not (0.0 < m < M):
         raise DomainError(f"need 0 < m < M, got m={m:g}, M={M:g}")
@@ -394,7 +385,7 @@ def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64):
     _require(tau, "y", (yv > 0.0, "function is not strictly positive"))
     ratio = xv / yv
     _require(tau, "x/y", ((m < ratio) & (ratio < M), f"leaves the open interval ({m:g}, {M:g})"))
-    p, q = hp.p, hp.q
+    q = conjugate_exponent(p)
     c_p = 2.0 ** (p - 1.0) * M**p / (p * (M + 1.0) ** p)
     c_q = 2.0 ** (q - 1.0) / (q * (m + 1.0) ** q)
     bound = c_p * ia(xv**p + yv**p) + c_q * ia(xv**q + yv**q)
@@ -406,11 +397,15 @@ def minkowsky_related(x, y, hp, m, M, alpha, t, *, nodes=64):
 
 
 @_finite
-def young_pointwise_check(x, y, hp, alpha, t, *, nodes=64):
-    """Young product check (YOUNG): I^a{x y} <= I^a{x^p}/p + I^a{y^q}/q."""
+def young_pointwise_check(x, y, p, alpha, t, *, nodes=64):
+    """Young product check (YOUNG): I^a{x y} <= I^a{x^p}/p + I^a{y^q}/q.
+
+    Takes an exponent p > 1; q = p / (p - 1) is its conjugate.
+    """
+    p = _exponent("p", p)
     tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require_signs(tau, xv, yv)
-    p, q = hp.p, hp.q
+    q = conjugate_exponent(p)
     bound = (1.0 / p) * ia(xv**p) + (1.0 / q) * ia(yv**q)
     params.update(p=p, q=q)
     return _report(TheoremId.YOUNG, ia(xv * yv), bound, params)
@@ -419,9 +414,7 @@ def young_pointwise_check(x, y, hp, alpha, t, *, nodes=64):
 @_finite
 def power_mean_check(x, y, r, alpha, t, *, nodes=64):
     """Power-mean check (POWMEAN): I^a{(x+y)^r} <= 2^(r-1) I^a{x^r + y^r}."""
-    r = check_real("r", r)
-    if not r > 1.0:
-        raise DomainError(f"need r > 1, got {r:g}")
+    r = _exponent("r", r)
     tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
     _require_signs(tau, xv, yv)
     bound = 2.0 ** (r - 1.0) * ia(xv**r + yv**r)

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import DomainError, HadafracError, QuadratureError, RoughnessWarning
 from .errors import check_int, check_real
 from .gammafn import gamma
-from .jacobi import MIN_RULE_ALPHA, build_jacobi_rule, check_rule_order, jacobi_rule_01
+from .jacobi import MAX_RULE_NODES, MIN_RULE_ALPHA, build_jacobi_rule, check_rule_order
+from .jacobi import jacobi_rule_01
 
 import math
 import warnings
@@ -140,6 +141,9 @@ def hadamard_integral(f, alpha, t, nodes=64, estimate_error=True, endpoint_expon
     the quadrature weight, restoring spectral accuracy that a plain rule
     loses for non-integer g.
     """
+    if estimate_error:
+        # The estimate doubles the rule, which must stay within MAX_RULE_NODES.
+        check_int("nodes", nodes, 2, MAX_RULE_NODES // 2)
     measure = Measure(alpha, t, nodes, endpoint_exponent)
     g, count = measure.endpoint_exponent, measure.weights.size
     if g != 0.0:
@@ -312,7 +316,7 @@ def semigroup_residual(f, alpha, beta, t, n=64):
     if beta <= 0.0:
         raise DomainError(f"inner order beta must be positive, got {beta:g}")
     t = _check_t(t)
-    n = check_int("nodes", n, 16, math.inf)
+    n = check_int("nodes", n, 16, MAX_RULE_NODES // 2)
     direct = hadamard_integral(f, alpha + beta, t, nodes=2 * n, estimate_error=False).value
     outer = Measure(alpha, t, n, beta)
     if t == 1.0:

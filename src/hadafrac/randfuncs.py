@@ -5,11 +5,12 @@ operator's natural variable is the logarithm, so exactly-integrable cases
 (plain powers of ln) occur with positive probability, and clipping makes the
 two constant envelopes valid everywhere without any search.  Every draw is a
 pure function of the seed through a counter-based generator, so the same seed
-reproduces the same coefficients bit for bit on any platform.  Whether
-clipping engages is decided exactly on the design span [0, LOG_SPAN], from
-each piece's values at its ends and at its derivative's critical points: the
+reproduces the same coefficients bit for bit on any platform.  The range of
+the pieces on the design span [0, LOG_SPAN] is found exactly, from each
+piece's values at its ends and at its derivative's critical points: the
 quadratic formula gives them for degree 3, the eigenvalues of the companion
-matrix for degree 4.
+matrix for degree 4.  It decides whether clipping engages, and it scales
+the smooth draw.
 """
 
 from dataclasses import dataclass, field
@@ -29,9 +30,6 @@ MAX_DEGREE = 4
 
 # Largest band edge: a draw stays within some hundred band widths of its band.
 _MAX_LEVEL = 1e300
-
-# Grid density over which the smooth draw measures its raw swing.
-_CLIP_SCAN_POINTS = 2048
 
 # Largest seed the counter-based generator takes as its 128-bit key.
 _MAX_SEED = 2**128 - 1
@@ -100,10 +98,16 @@ class PiecewiseLogPoly:
         ends[0] = edges[:count]
         ends[1, :-1] = edges[1:count]
         ends[1, -1] = LOG_SPAN
-        object.__setattr__(self, "clipped", _clips(ends, rows[:count], self.clip_lo, self.clip_hi))
+        low, high = _extremes(ends, rows[:count])
+        object.__setattr__(self, "clipped", low < self.clip_lo or high > self.clip_hi)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def unclipped(self, tau):
-        """Evaluate the continuous piecewise polynomial without clipping."""
+        """Evaluate the continuous piecewise polynomial without clipping.
+
+        Far past the design span, or with huge coefficients, a value may
+        overflow to an infinity, which clipping then takes to a band edge.
+        """
         arr = np.asarray(tau, dtype=float)
         if (arr <= 0.0).any():
             raise DomainError("arguments must be positive")
@@ -165,15 +169,15 @@ def _continuous_pieces(rng, ends, degree, lo, hi):
 
 
 @np.errstate(all="ignore")
-def _clips(ends, coeffs, lo, hi):
-    """Whether some piece leaves [lo, hi] between its ends (as in ends[:, j]).
+def _extremes(ends, coeffs):
+    """(min, max) of the pieces, each between its ends (as in ends[:, j]).
 
     A piece attains its extremes over an interval at an end or at a real
     root of its derivative, so it is evaluated exactly there.  The roots
     come from the quadratic formula for degree 3 and from the eigenvalues
     of the companion matrix for degree 4; complex roots contribute their
     real parts, which are points of the interval too once clipped into it.
-    A value that overflows is infinite, so it leaves the band.
+    A value that overflows is infinite, so it leaves any band.
     """
     points = [ends]
     degree = coeffs.shape[1] - 1
@@ -212,7 +216,7 @@ def _clips(ends, coeffs, lo, hi):
             roots[j, : found.size] = found
         points.append(np.minimum(np.maximum(roots.T, ends[0]), ends[1]))
     values = _horner(coeffs, np.concatenate(points))
-    return bool(values.min() < lo or values.max() > hi)
+    return float(values.min()), float(values.max())
 
 
 def _generator(seed):
@@ -258,19 +262,19 @@ def random_bounded_function(seed, lo, hi, pieces, degree):
 def random_smooth_function(seed, lo, hi, degree=4):
     """Seeded draw of a single smooth polynomial piece inside [lo, hi].
 
-    The raw polynomial is rescaled around the band midpoint so that clipping
-    never engages on the design span: the result is globally smooth, which
-    the quadrature cross-checks require.
+    The raw polynomial is rescaled around the band midpoint so that its
+    largest exact deviation from it on the design span is 0.45 of the band
+    width.  Clipping never engages there: the result is globally smooth,
+    which the quadrature cross-checks require.
     """
     lo, hi = _check_band(lo, hi)
     degree = check_int("degree", degree, 1, MAX_DEGREE)
     rng = _generator(seed)
     raw = rng.uniform(-1.0, 1.0, size=degree)
-    u = np.linspace(0.0, LOG_SPAN, _CLIP_SCAN_POINTS)
-    swing = _horner(raw[None, :], u[:, None])[:, 0]
-    swing *= u  # no constant term yet; polynomial vanishes at u = 0
+    # The raw polynomial has no constant term yet, so it vanishes at u = 0.
+    low, high = _extremes(np.array([[0.0], [LOG_SPAN]]), np.array([[0.0, *raw]]))
     mid = 0.5 * (lo + hi)
-    amp = 0.45 * (hi - lo) / max(float(np.max(np.abs(swing))), 1e-30)
+    amp = 0.45 * (hi - lo) / max(-low, high, 1e-30)
     coeffs = (mid, *(float(amp * c) for c in raw))
     return PiecewiseLogPoly(
         breakpoints=(0.0,),

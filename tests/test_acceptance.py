@@ -17,7 +17,6 @@ from hadafrac.gammafn import gamma
 from hadafrac.inequalities import (
     BoundingQuadruple,
     ConstantBounds,
-    HolderPair,
     TheoremId,
     constant_polya_szego,
     constant_polya_szego_two_order,
@@ -210,7 +209,7 @@ def test_criterion_6_equality_saturation():
 
 def test_criterion_7_hand_arithmetic_spot_checks():
     one = ConstantFunction(1.0)
-    t34 = minkowsky_related(one, one, HolderPair(2.0, 2.0), 0.5, 2.0, 1.0, E)
+    t34 = minkowsky_related(one, one, 2.0, 0.5, 2.0, 1.0, E)
     p31 = constant_polya_szego(
         ConstantFunction(1.5),
         ConstantFunction(2.0),

@@ -24,7 +24,6 @@ from hadafrac.gammafn import gamma
 from hadafrac.inequalities import (
     BoundingQuadruple,
     ConstantBounds,
-    HolderPair,
     InequalityReport,
     TheoremId,
     constant_polya_szego,
@@ -37,7 +36,7 @@ from hadafrac.inequalities import (
     ratio_bound_constant,
     young_pointwise_check,
 )
-from hadafrac.jacobi import build_jacobi_rule, check_rule_order, jacobi_rule_01
+from hadafrac.jacobi import MAX_RULE_NODES, build_jacobi_rule, check_rule_order, jacobi_rule_01
 from hadafrac.operators import (
     Measure,
     OperatorResult,
@@ -122,8 +121,6 @@ CASES = {
     "random_smooth_function": (random_smooth_function, dict(
         seed=SEEDS, lo=LOW, hi=HIGH, degree=st.integers(1, 4))),
     "ConstantBounds": (ConstantBounds, dict(m=LOW, M=HIGH, n_lo=LOW, N_hi=HIGH)),
-    "HolderPair": (HolderPair, dict(p=st.just(2.0), q=st.just(2.0))),
-    "HolderPair.conjugate": (HolderPair.conjugate, dict(p=EXPONENTS)),
     "T31": (lambda alpha, t, **kw: polya_szego_single(ONE, ONE, ENVELOPES, alpha, t, **kw),
             dict(alpha=ORDERS, t=POINTS, **CHECK_OPTIONS)),
     "T32": (lambda alpha, beta, t, **kw: polya_szego_double(
@@ -139,12 +136,10 @@ CASES = {
     "P33": (lambda alpha, beta, t, **kw: ratio_bound_constant(
                 ONE, ONE, BANDS, alpha, beta, t, **kw),
             dict(alpha=ORDERS, beta=ORDERS, t=POINTS, **CHECK_OPTIONS)),
-    "T34": (lambda m, M, alpha, t, **kw: minkowsky_related(
-                ONE, ONE, HolderPair(2.0, 2.0), m, M, alpha, t, **kw),
-            dict(m=LOW, M=HIGH, alpha=ORDERS, t=POINTS, **CHECK_OPTIONS)),
-    "YOUNG": (lambda alpha, t, **kw: young_pointwise_check(
-                  ONE, ONE, HolderPair(2.0, 2.0), alpha, t, **kw),
-              dict(alpha=ORDERS, t=POINTS, **CHECK_OPTIONS)),
+    "T34": (lambda p, m, M, alpha, t, **kw: minkowsky_related(ONE, ONE, p, m, M, alpha, t, **kw),
+            dict(p=EXPONENTS, m=LOW, M=HIGH, alpha=ORDERS, t=POINTS, **CHECK_OPTIONS)),
+    "YOUNG": (lambda p, alpha, t, **kw: young_pointwise_check(ONE, ONE, p, alpha, t, **kw),
+              dict(p=EXPONENTS, alpha=ORDERS, t=POINTS, **CHECK_OPTIONS)),
     "POWMEAN": (lambda r, alpha, t, **kw: power_mean_check(ONE, ONE, r, alpha, t, **kw),
                 dict(r=EXPONENTS, alpha=ORDERS, t=POINTS, **CHECK_OPTIONS)),
     # Constructed only: a huge `trials` is never run.
@@ -167,8 +162,6 @@ def _numbers(result):
         return [result.value, result.estimated_error]
     if isinstance(result, Measure):
         return [result.prefactor, *result.tau, *result.weights]
-    if isinstance(result, HolderPair):
-        return [result.p, result.q]
     if isinstance(result, ConstantBounds):
         return [result.m, result.M, result.n_lo, result.N_hi]
     if isinstance(result, np.ndarray):
@@ -242,16 +235,16 @@ def test_every_command_exits_zero_to_three(options, command):
     lambda: random_bounded_function(0, 0.5, math.inf, 2, 1),
     lambda: random_smooth_function(0, 0.5, math.inf),
     lambda: random_bounded_function(0, "a", 2.0, 2, 1),
-    lambda: HolderPair.conjugate("a"),
+    lambda: young_pointwise_check(ONE, ONE, "a", 0.5, 2.0),
     lambda: gamma("a"),
     lambda: power_mean_check(ONE, ONE, "a", 0.5, 2.0),
-    lambda: minkowsky_related(ONE, ONE, HolderPair(2.0, 2.0), "a", 2.0, 0.5, 2.0),
+    lambda: minkowsky_related(ONE, ONE, 2.0, "a", 2.0, 0.5, 2.0),
     lambda: ConstantBounds("a", 1, 1, 2),
-    lambda: HolderPair("a", 2),
+    lambda: minkowsky_related(ONE, ONE, "2", 0.5, 2.0, 0.5, 2.0),
     lambda: jacobi_rule_01(4.0, 0.0),
     lambda: build_jacobi_rule(0.5, 4.0),
     lambda: build_jacobi_rule("a", 4),
-    lambda: HolderPair(math.inf, 1.0000000000001),
+    lambda: young_pointwise_check(ONE, ONE, math.inf, 0.5, 2.0),
     lambda: run_trial("T99", 0),
     lambda: FuzzConfig(theorem_id="T99"),
     lambda: hadamard_integral(np.sqrt, "0.5", 2.0),
@@ -286,6 +279,29 @@ def test_every_command_exits_zero_to_three(options, command):
 def test_listed_arguments_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+# Both also build a rule of twice the caller's size; the message names the
+# size the caller gave and the range it must lie in.
+@pytest.mark.parametrize("call, n, bounds", [
+    (lambda n: hadamard_integral(np.sqrt, 0.5, 2.0, nodes=n), 2049, "[2, 2048]"),
+    (lambda n: hadamard_integral(np.sqrt, 0.5, 2.0, nodes=n), MAX_RULE_NODES, "[2, 2048]"),
+    (lambda n: semigroup_residual(np.sqrt, 0.5, 0.5, 2.0, n=n), 2049, "[16, 2048]"),
+    (lambda n: semigroup_residual(np.sqrt, 0.5, 0.5, 2.0, n=n), 8, "[16, 2048]"),
+])
+def test_doubled_rule_is_refused_at_the_callers_node_count(call, n, bounds):
+    with pytest.raises(DomainError) as info:
+        call(n)
+    assert str(info.value) == f"nodes must be an integer in {bounds}, got {n}"
+
+
+@pytest.mark.parametrize("command", [["integrate", "1", "0.5", "2"],
+                                     ["semigroup", "1", "0.5", "0.5", "2"]])
+def test_cli_names_the_node_count_it_was_given(command):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["--nodes", "3000", *command]) == 2
+    assert err.getvalue().endswith("got 3000\n")
 
 
 def test_caches_check_integer_sizes_on_every_call():

@@ -1,5 +1,5 @@
-"""Tests for the command-line interface: output format, exit codes,
-CSV determinism, and the HADAFRAC_SEED environment default."""
+"""Tests for the command-line interface: output format, exit codes and
+CSV determinism."""
 
 import dataclasses
 import itertools
@@ -149,42 +149,21 @@ class TestFuzzCommand:
         assert len(out.splitlines()) == 6
         assert "failures 0" in err
 
-    def test_env_seed_default(self, capsys, tmp_path, monkeypatch):
-        via_env = tmp_path / "env.csv"
-        via_flag = tmp_path / "flag.csv"
-        monkeypatch.setenv("HADAFRAC_SEED", "77")
-        code, _, _ = run_cli(
-            capsys, "--out", str(via_env), "fuzz", "--theorem", "T33", "--trials", "10"
+    def test_seed_defaults_to_the_config_default(self, capsys):
+        _, implicit, _ = run_cli(capsys, "fuzz", "--theorem", "T33", "--trials", "3")
+        seed = str(FuzzConfig.master_seed)
+        _, explicit, _ = run_cli(
+            capsys, "--seed", seed, "fuzz", "--theorem", "T33", "--trials", "3"
         )
-        assert code == 0
-        monkeypatch.delenv("HADAFRAC_SEED")
-        run_cli(
-            capsys,
-            "--seed", "77", "--out", str(via_flag),
-            "fuzz", "--theorem", "T33", "--trials", "10",
-        )
-        assert via_env.read_bytes() == via_flag.read_bytes()
+        assert implicit == explicit
 
-    def test_seed_flag_overrides_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HADAFRAC_SEED", "1")
-        first = tmp_path / "one.csv"
-        run_cli(
-            capsys,
-            "--seed", "9", "--out", str(first),
-            "fuzz", "--theorem", "T34", "--trials", "5",
-        )
-        monkeypatch.setenv("HADAFRAC_SEED", "9")
-        second = tmp_path / "two.csv"
-        run_cli(
-            capsys, "--out", str(second), "fuzz", "--theorem", "T34", "--trials", "5"
-        )
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_garbage_env_seed_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("HADAFRAC_SEED", "not-a-number")
-        code, _, err = run_cli(capsys, "fuzz", "--theorem", "T31", "--trials", "1")
-        assert code == 2
-        assert "HADAFRAC_SEED" in err
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        for path in (tmp_path / "missing" / "run.csv", tmp_path):
+            code, out, err = run_cli(
+                capsys, "--out", str(path), "fuzz", "--theorem", "T31", "--trials", "1"
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error: cannot write --out") and err.count("\n") == 1
 
     def test_failing_trials_exit_one_with_a_reproducer_each(self, capsys, tmp_path, monkeypatch):
         # The fuzzer looks each check up by name, so this stand-in fails

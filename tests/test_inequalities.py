@@ -26,7 +26,6 @@ from hadafrac.inequalities import (
     ABS_TOL,
     BoundingQuadruple,
     ConstantBounds,
-    HolderPair,
     InequalityReport,
     REL_TOL,
     TheoremId,
@@ -34,6 +33,7 @@ from hadafrac.inequalities import (
     _require,
     constant_polya_szego,
     constant_polya_szego_two_order,
+    conjugate_exponent,
     minkowsky_related,
     polya_szego_double,
     polya_szego_single,
@@ -92,19 +92,16 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             ConstantBounds(1.0, 2.0, 3.0, 2.0)
 
-    def test_holder_pair_validation(self):
-        HolderPair(2.0, 2.0)
-        HolderPair(3.0, 1.5)
-        with pytest.raises(DomainError):
-            HolderPair(1.0, 2.0)
-        with pytest.raises(DomainError):
-            HolderPair(3.0, 2.0)
-
     def test_holder_conjugate(self):
-        hp = HolderPair.conjugate(4.0)
-        assert hp.q == pytest.approx(4.0 / 3.0, rel=1e-15)
-        with pytest.raises(DomainError):
-            HolderPair.conjugate(1.0)
+        # T34 and YOUNG take p alone and use its conjugate q = p / (p - 1).
+        assert conjugate_exponent(4.0) == 4.0 / 3.0
+        assert young_pointwise_check(ONE, ONE, 4.0, 1.0, E).params["q"] == 4.0 / 3.0
+        assert minkowsky_related(ONE, ONE, 4.0, 0.5, 2.0, 1.0, E).params["q"] == 4.0 / 3.0
+        for p in (1.0, 0.5, -2.0):
+            with pytest.raises(DomainError, match="need p > 1"):
+                young_pointwise_check(ONE, ONE, p, 1.0, E)
+            with pytest.raises(DomainError, match="need p > 1"):
+                minkowsky_related(ONE, ONE, p, 0.5, 2.0, 1.0, E)
 
     def test_report_is_frozen(self):
         r = polya_szego_single(ONE, ONE, UNIT_ENV, 0.5, E)
@@ -369,13 +366,13 @@ class TestRatioBoundConstant:
 
 class TestMinkowskyRelated:
     def test_hand_arithmetic_sixteen_ninths(self):
-        r = minkowsky_related(ONE, ONE, HolderPair(2.0, 2.0), 0.5, 2.0, 1.0, E)
+        r = minkowsky_related(ONE, ONE, 2.0, 0.5, 2.0, 1.0, E)
         assert r.lhs == pytest.approx(1.0, abs=1e-12)
         assert r.bound == pytest.approx(16.0 / 9.0, abs=1e-12)
         assert r.passed
 
     def test_asymmetric_exponents_coefficient_arithmetic(self):
-        r = minkowsky_related(ONE, ONE, HolderPair(3.0, 1.5), 0.9, 1.1, 0.5, E)
+        r = minkowsky_related(ONE, ONE, 3.0, 0.9, 1.1, 0.5, E)
         two_over_sqrt_pi = 2.0 / math.sqrt(math.pi)
         assert r.lhs == pytest.approx(two_over_sqrt_pi, rel=1e-13)
         c_p = 2.0**2 * 1.1**3 / (3.0 * 2.1**3)
@@ -385,7 +382,7 @@ class TestMinkowskyRelated:
 
     def test_nonconstant_case_has_positive_margin(self):
         x = lambda s: 1.0 + 0.1 * np.log(s)
-        r = minkowsky_related(x, ONE, HolderPair(2.0, 2.0), 0.5, 2.0, 0.8, 3.0)
+        r = minkowsky_related(x, ONE, 2.0, 0.5, 2.0, 0.8, 3.0)
         assert r.passed
         assert r.margin > 0.0
         lhs_oracle = graded(x, 0.8, 3.0)
@@ -394,40 +391,40 @@ class TestMinkowskyRelated:
     def test_young_chain_is_ordered(self):
         x = lambda s: 1.0 + 0.4 * np.log(s)
         y = lambda s: 2.0 - 0.5 * np.log(s)
-        r = minkowsky_related(x, y, HolderPair(3.0, 1.5), 0.2, 3.0, 0.6, E)
+        r = minkowsky_related(x, y, 3.0, 0.2, 3.0, 0.6, E)
         mid = r.params["young_mid"]
         assert r.lhs <= mid * (1.0 + 1e-12)
         assert mid <= r.bound * (1.0 + 1e-12)
 
     def test_ratio_leaving_interval_raises(self):
         with pytest.raises(EnvelopeError) as info:
-            minkowsky_related(TWO, ONE, HolderPair(2.0, 2.0), 0.5, 2.0, 1.0, E)
+            minkowsky_related(TWO, ONE, 2.0, 0.5, 2.0, 1.0, E)
         assert info.value.tau is not None
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            minkowsky_related(ONE, ONE, HolderPair(2.0, 2.0), 2.0, 0.5, 1.0, E)
+            minkowsky_related(ONE, ONE, 2.0, 2.0, 0.5, 1.0, E)
         with pytest.raises(DomainError):
-            minkowsky_related(ONE, ONE, HolderPair(2.0, 2.0), -1.0, 2.0, 1.0, E)
+            minkowsky_related(ONE, ONE, 2.0, -1.0, 2.0, 1.0, E)
         with pytest.raises(DomainError):
-            minkowsky_related(ONE, ONE, HolderPair(2.0, 2.0), 0.5, math.inf, 1.0, E)
+            minkowsky_related(ONE, ONE, 2.0, 0.5, math.inf, 1.0, E)
 
 
 class TestYoungPointwise:
     def test_equality_at_matched_powers(self):
-        r = young_pointwise_check(ONE, ONE, HolderPair(2.0, 2.0), 1.0, E)
+        r = young_pointwise_check(ONE, ONE, 2.0, 1.0, E)
         assert r.lhs == pytest.approx(1.0, rel=1e-13)
         assert r.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_arithmetic(self):
-        r = young_pointwise_check(TWO, ONE, HolderPair(2.0, 2.0), 1.0, E)
+        r = young_pointwise_check(TWO, ONE, 2.0, 1.0, E)
         assert r.lhs == pytest.approx(2.0, rel=1e-13)
         assert r.bound == pytest.approx(2.5, rel=1e-13)
 
     def test_nonconstant_case_against_graded_oracle(self):
         x = lambda s: np.log(s) + 1.0
         y = lambda s: np.exp(-np.log(s))
-        r = young_pointwise_check(x, y, HolderPair(3.0, 1.5), 0.5, 2.0)
+        r = young_pointwise_check(x, y, 3.0, 0.5, 2.0)
         assert r.passed
         lhs_oracle = graded(lambda s: x(s) * y(s), 0.5, 2.0)
         assert r.lhs == pytest.approx(lhs_oracle, rel=1e-5)
@@ -435,7 +432,7 @@ class TestYoungPointwise:
     def test_negative_function_raises(self):
         f = lambda s: np.log(s) - 0.5
         with pytest.raises(EnvelopeError):
-            young_pointwise_check(f, ONE, HolderPair(2.0, 2.0), 0.5, E)
+            young_pointwise_check(f, ONE, 2.0, 0.5, E)
 
 
 class TestPowerMean:
@@ -506,12 +503,12 @@ class TestSoundnessMiniFuzz:
                 constant_polya_szego(x, y, cb, alpha, t),
                 constant_polya_szego_two_order(x, y, cb, alpha, beta, t),
                 ratio_bound_constant(x, y, cb, alpha, beta, t),
-                young_pointwise_check(x, y, HolderPair(2.5, 5.0 / 3.0), alpha, t),
+                young_pointwise_check(x, y, 2.5, alpha, t),
                 power_mean_check(x, y, 2.5, alpha, t),
             ]
             # x/y ranges over [0.5/3, 2] inside (m, M) = (0.1, 2.5).
             reports.append(
-                minkowsky_related(x, y, HolderPair(2.0, 2.0), 0.1, 2.5, alpha, t)
+                minkowsky_related(x, y, 2.0, 0.1, 2.5, alpha, t)
             )
             for r in reports:
                 assert r.passed, (
@@ -572,9 +569,9 @@ def _call_check(theorem, x, y, lo, hi, alpha, beta, t, p, **options):
         TheoremId.P33: lambda: ratio_bound_constant(
             x, y, ConstantBounds(lo, hi, lo, hi), alpha, beta, t, **kw),
         TheoremId.T34: lambda: minkowsky_related(
-            x, y, HolderPair.conjugate(p), lo, hi, alpha, t, **kw),
+            x, y, p, lo, hi, alpha, t, **kw),
         TheoremId.YOUNG: lambda: young_pointwise_check(
-            x, y, HolderPair.conjugate(p), alpha, t, **kw),
+            x, y, p, alpha, t, **kw),
         TheoremId.POWMEAN: lambda: power_mean_check(x, y, p, alpha, t, **kw),
     }
     return calls[theorem]()

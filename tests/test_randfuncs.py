@@ -1,5 +1,7 @@
 """Tests for the seeded random function generator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hadafrac.randfuncs import (
     LOG_SPAN,
     ConstantFunction,
     PiecewiseLogPoly,
-    _clips,
+    _extremes,
     random_bounded_function,
     random_smooth_function,
 )
@@ -69,6 +71,12 @@ def companion_eigvals_clips(ends, coeffs, lo, hi):
     for c in coeffs.T[::-1]:
         out = out * values + c
     return bool(out.min() < lo or out.max() > hi)
+
+
+def leaves_band(ends, coeffs, lo, hi):
+    """Whether the exact range of the pieces leaves [lo, hi], as the flag is set."""
+    low, high = _extremes(ends, coeffs)
+    return low < lo or high > hi
 
 
 def piece_ends(fn):
@@ -179,8 +187,8 @@ class TestContinuity:
         assert np.all((lo < scan) & (scan < hi))
         assert fn.clipped
         ends = np.array([[0.0], [LOG_SPAN]])
-        assert _clips(ends, np.array([row]), lo, hi)
-        assert not _clips(ends, np.array([row]), lo, hi + 2e-9)
+        assert leaves_band(ends, np.array([row]), lo, hi)
+        assert not leaves_band(ends, np.array([row]), lo, hi + 2e-9)
 
     def test_zero_leading_coefficient_stays_finite(self):
         # Quartic rows whose top terms vanish: 1 + 1.5u - 0.5u^2 peaks at
@@ -188,8 +196,8 @@ class TestContinuity:
         coeffs = np.array([[1.0, 1.5, -0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]])
         ends = np.array([[0.0, LOG_SPAN], [LOG_SPAN, LOG_SPAN]])
         with np.errstate(all="raise"):
-            assert _clips(ends, coeffs, 0.5, 2.0)
-            assert not _clips(ends, coeffs, 0.5, 2.2)
+            assert leaves_band(ends, coeffs, 0.5, 2.0)
+            assert not leaves_band(ends, coeffs, 0.5, 2.2)
 
     def test_flag_matches_companion_eigenvalues(self):
         flagged = 0
@@ -224,7 +232,7 @@ class TestContinuity:
     def test_cubic_critical_points(self, row, right, lo, hi, clips):
         ends = np.array([[0.0], [right]])
         coeffs = np.array([row])
-        assert _clips(ends, coeffs, lo, hi) == clips
+        assert leaves_band(ends, coeffs, lo, hi) == clips
         assert companion_eigvals_clips(ends, coeffs, lo, hi) == clips
 
     def test_wide_band_rarely_clips(self):
@@ -324,6 +332,13 @@ class TestEvaluation:
         far = fn(np.exp(LOG_SPAN + 2.0))
         assert 0.5 <= far <= 2.0
 
+    def test_overflow_is_clipped_without_a_warning(self):
+        # The suite turns RuntimeWarning into an error.
+        fn, _, _ = random_bounded_function(0, 0.5, 1e300, 4, 4)
+        assert fn.unclipped(1e300) == -math.inf
+        assert fn(1e300) == 0.5
+        assert PiecewiseLogPoly((0.0,), ((1e308,) * 5,), 0.5, 2.5)(2.0) == 2.5
+
     def test_nonpositive_argument_rejected(self):
         fn, _, _ = random_bounded_function(5, 0.5, 2.0, 3, 2)
         with pytest.raises(DomainError):
@@ -391,6 +406,13 @@ class TestSmoothVariant:
             assert np.all(raw >= 0.5), f"seed {seed}"
             assert np.all(raw <= 3.0), f"seed {seed}"
             assert not fn.clipped
+
+    def test_exact_swing_is_the_set_share_of_the_band(self):
+        span = np.array([[0.0], [LOG_SPAN]])
+        for seed in range(100):
+            fn = random_smooth_function(seed, 0.5, 3.0, degree=1 + seed % 4)
+            low, high = _extremes(span, np.array(fn.coefficients))
+            assert max(1.75 - low, high - 1.75) == pytest.approx(0.45 * 2.5, rel=1e-13)
 
     def test_single_piece_midpoint_at_one(self):
         fn = random_smooth_function(17, 1.0, 2.0)
