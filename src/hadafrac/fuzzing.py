@@ -10,9 +10,10 @@ from round-off or a transcription bug, never from quadrature truncation
 error.
 
 Determinism: the seed of trial i is master_seed + i, and each trial
-draws from its own counter-based Philox stream keyed on that seed.  No
-global generator state exists, so trials can be reproduced in isolation
-and executed in any order.
+draws from a counter-based Philox stream keyed on that seed.  Each thread
+re-keys its generators whole on every use, so no state carries from one
+trial or draw to the next: trials can be reproduced in isolation and
+executed in any order.
 
 Clipping can kink a trial function.  Kinked trials are counted in the
 run's summary and judged like every other trial, by the checks' fixed
@@ -26,13 +27,11 @@ import time
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
-import numpy as np
-
 from . import inequalities
 from .errors import check_int
 from .inequalities import BoundingQuadruple, ConstantBounds, TheoremId, conjugate_exponent
 from .jacobi import MAX_RULE_NODES
-from .randfuncs import ConstantFunction, random_bounded_function
+from .randfuncs import ConstantFunction, _Stream, random_bounded_function
 
 # Orders are drawn from this grid so the node caches amortize across trials.
 ORDER_GRID_STEP = 0.05
@@ -43,6 +42,10 @@ SATURATION_RATE = 0.05
 CSV_HEADER = "theorem,alpha,beta,t,p,q,seed,lhs,bound,ratio,margin,pass"
 
 _SEED_MASK = 2**63 - 1
+
+# The trial's own stream: it stays live while the random functions, which
+# draw from theirs, are built.
+_TRIAL_STREAM = _Stream()
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,7 @@ def run_trial(theorem_id, seed, *, nodes=FuzzConfig.nodes):
     """
     check, family, order_count = _TRIALS[TheoremId(theorem_id)]
     seed = check_int("seed", seed, -math.inf, math.inf)
-    rng = np.random.Generator(np.random.Philox(key=seed & _SEED_MASK))
+    rng = _TRIAL_STREAM.keyed(seed & _SEED_MASK)
     alpha = ORDER_GRID_STEP * int(rng.integers(*_ALPHA_SPAN))
     beta = ORDER_GRID_STEP * int(rng.integers(*_BETA_SPAN))
     t = float(rng.uniform(*FuzzConfig.t_range))

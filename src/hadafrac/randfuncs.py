@@ -5,17 +5,20 @@ operator's natural variable is the logarithm, so exactly-integrable cases
 (plain powers of ln) occur with positive probability, and clipping makes the
 two constant envelopes valid everywhere without any search.  Every draw is a
 pure function of the seed through a counter-based generator, so the same seed
-reproduces the same coefficients bit for bit on any platform.  The range of
-the pieces on the design span [0, LOG_SPAN] is found exactly, from each
-piece's values at its ends and at its derivative's critical points: the
-quadratic formula gives them for degree 3, the eigenvalues of the companion
-matrix for degree 4.  It decides whether clipping engages, and it scales
-the smooth draw.
+reproduces the same coefficients bit for bit on any platform.  Each thread
+keeps one such generator and re-keys it whole on every draw, so no state
+carries from one draw to the next.  The range of the pieces on the design
+span [0, LOG_SPAN] is found exactly, from each piece's values at its ends and
+at its derivative's critical points: the quadratic formula gives them for
+degree 3, the eigenvalues of the companion matrix for degree 4.  It decides
+whether clipping engages, and it scales the smooth draw.
 """
 
 from dataclasses import dataclass, field
+import itertools
 import math
 import operator
+import threading
 
 import numpy as np
 
@@ -33,10 +36,13 @@ _MAX_LEVEL = 1e300
 
 # Largest seed the counter-based generator takes as its 128-bit key.
 _MAX_SEED = 2**128 - 1
+_WORD_MASK = 2**64 - 1
 
 _LOG_SPAN_POWERS = LOG_SPAN ** np.arange(1, MAX_DEGREE + 1)
 
 _SIGNS = np.array([-1.0, 1.0])
+
+_BOOLS = frozenset((bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,13 @@ class PiecewiseLogPoly:
             raise DomainError(
                 f"coefficients must be one row of 1 to {MAX_DEGREE + 1} finite numbers "
                 f"per breakpoint, got {self.coefficients!r}"
+            )
+        # NumPy reads a bool among numbers as 0 or 1, so the entries are
+        # scanned themselves; the checks above make both fields iterable.
+        if not _BOOLS.isdisjoint(map(type, itertools.chain(self.breakpoints, *self.coefficients))):
+            raise DomainError(
+                f"breakpoints and coefficients must not hold bools, got "
+                f"{self.breakpoints!r} and {self.coefficients!r}"
             )
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_rows", rows)
@@ -219,9 +232,35 @@ def _extremes(ends, coeffs):
     return float(values.min()), float(values.max())
 
 
-def _generator(seed):
-    """The counter-based generator keyed by an integer seed in [0, 2^128)."""
-    return np.random.Generator(np.random.Philox(key=check_int("seed", seed, 0, _MAX_SEED)))
+class _Stream(threading.local):
+    """One counter-based generator per thread, re-keyed whole on every use.
+
+    Philox's draws depend only on its key and counter, so writing the key
+    and assigning the state, which zeroes the counter and empties the
+    buffers, gives exactly the draws of a generator newly built on that
+    key, at a fifth of the cost of building one.  The generator is built on
+    first use, so importing the package does not import `numpy.random`.
+    """
+
+    generator = None
+
+    def keyed(self, seed):
+        """The generator keyed by an integer seed in [0, 2^128)."""
+        seed = check_int("seed", seed, 0, _MAX_SEED)
+        if self.generator is None:
+            self.generator = np.random.Generator(np.random.Philox(key=0))
+            self.state = self.generator.bit_generator.state
+        # An integer key is split into two 64-bit words, low word first.
+        key = self.state["state"]["key"]
+        key[0] = seed & _WORD_MASK
+        key[1] = seed >> 64
+        self.generator.bit_generator.state = self.state
+        return self.generator
+
+
+# The stream behind every random function.  A caller that holds another
+# stream, as a fuzz trial does, keeps its own _Stream.
+_DRAWS = _Stream()
 
 
 def _check_band(lo, hi):
@@ -240,7 +279,7 @@ def random_bounded_function(seed, lo, hi, pieces, degree):
     lo, hi = _check_band(lo, hi)
     pieces = check_int("pieces", pieces, 1, MAX_PIECES)
     degree = check_int("degree", degree, 0, MAX_DEGREE)
-    rng = _generator(seed)
+    rng = _DRAWS.keyed(seed)
     interior = rng.uniform(0.0, LOG_SPAN, size=pieces - 1)
     interior.sort()
     # Piece j spans [ends[0, j], ends[1, j]] of the design span.
@@ -269,7 +308,7 @@ def random_smooth_function(seed, lo, hi, degree=4):
     """
     lo, hi = _check_band(lo, hi)
     degree = check_int("degree", degree, 1, MAX_DEGREE)
-    rng = _generator(seed)
+    rng = _DRAWS.keyed(seed)
     raw = rng.uniform(-1.0, 1.0, size=degree)
     # The raw polynomial has no constant term yet, so it vanishes at u = 0.
     low, high = _extremes(np.array([[0.0], [LOG_SPAN]]), np.array([[0.0, *raw]]))

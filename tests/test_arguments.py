@@ -273,6 +273,9 @@ def test_every_command_exits_zero_to_three(options, command):
     lambda: PiecewiseLogPoly((0.0,), (("1.5",),), 1.0, 2.0),
     lambda: PiecewiseLogPoly((0.0, "1"), ((1.5,), (1.5,)), 1.0, 2.0),
     lambda: PiecewiseLogPoly((0.0,), ((True,),), 1.0, 2.0),
+    lambda: PiecewiseLogPoly((0.0,), ((1.5, True),), 1.0, 3.0),
+    lambda: PiecewiseLogPoly((0.0, True), ((1.5,), (1.5,)), 1.0, 3.0),
+    lambda: PiecewiseLogPoly((0.0, 1.0), ((1.5,), (np.True_,)), 1.0, 3.0),
     lambda: Unary(["sin"], Var()),
     lambda: Binary(["add"], Var(), Var()),
 ])

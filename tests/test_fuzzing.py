@@ -4,12 +4,14 @@ import dataclasses
 import inspect
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from hadafrac import fuzzing, inequalities
-from hadafrac.errors import DomainError
+from hadafrac.errors import DomainError, EnvelopeError
 from hadafrac.fuzzing import (
     CSV_HEADER,
     FuzzConfig,
@@ -20,6 +22,7 @@ from hadafrac.fuzzing import (
     trial_seed,
 )
 from hadafrac.inequalities import ABS_TOL, TheoremId
+from hadafrac.randfuncs import PiecewiseLogPoly, random_bounded_function
 
 ALL_CHECKS = list(TheoremId)
 
@@ -79,6 +82,77 @@ class TestDeterminism:
             trial_seed(seed, 1)
         with pytest.raises(DomainError):
             trial_seed(1, seed)
+
+
+def in_threads(calls, timeout=120):
+    """Run each call in its own thread, all at once, and return their results."""
+    results = [None] * len(calls)
+
+    def work(i):
+        results[i] = calls[i]()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+class TestIsolation:
+    """No generator state carries from one trial or draw to the next."""
+
+    @pytest.mark.parametrize("theorem", ALL_CHECKS, ids=[t.value for t in ALL_CHECKS])
+    def test_a_trial_in_between_changes_no_replay(self, theorem):
+        for seed in range(8):
+            first = run_trial(theorem, seed)
+            run_trial(ALL_CHECKS[seed], 1000 + seed)
+            assert run_trial(theorem, seed) == first
+
+    def test_a_trial_that_raised_part_way_leaves_no_state(self, monkeypatch):
+        trial = run_trial(TheoremId.T31, 5)
+        draw = random_bounded_function(9, 0.5, 2.0, 7, 3)
+
+        def refuse(x, y, *args, **kwargs):
+            # Both streams are mid-way: the trial's, and the one x and y came from.
+            assert isinstance(x, PiecewiseLogPoly) and isinstance(y, PiecewiseLogPoly)
+            raise EnvelopeError("hand-built failure")
+
+        monkeypatch.setattr(inequalities, "polya_szego_single", refuse)
+        with pytest.raises(EnvelopeError):
+            run_trial(TheoremId.T31, 7)
+        monkeypatch.undo()
+        assert random_bounded_function(9, 0.5, 2.0, 7, 3) == draw
+        assert run_trial(TheoremId.T31, 5) == trial
+
+    def test_runs_in_threads_at_once_write_the_sequential_csvs(self):
+        theorems = (TheoremId.T32, TheoremId.T34, TheoremId.YOUNG, TheoremId.POWMEAN)
+        sequential = [csv_of(theorem, 40, 11) for theorem in theorems]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            concurrent = in_threads([lambda t=theorem: csv_of(t, 40, 11) for theorem in theorems])
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential
+
+    def test_each_stream_builds_one_generator_per_thread(self, monkeypatch):
+        builds = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            builds.append(threading.get_ident())
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        # A new thread builds both of its streams: the trial's and the draws'.
+        [summary] = in_threads([lambda: small_run(TheoremId.T31, trials=200)])
+        assert summary.trials_run == 200
+        assert len(builds) == 2
+        before = len(builds)
+        small_run(TheoremId.T31, trials=200)
+        assert len(builds) - before <= 2
 
 
 class TestSoundness:

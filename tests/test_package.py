@@ -1,6 +1,9 @@
 """The package namespace: `hadafrac.__all__` is what README.md documents."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hadafrac
@@ -32,3 +35,17 @@ def test_the_readme_lists_exactly_the_public_names():
                    randfuncs):
         defined |= {name for name in vars(module) if not name.startswith("_")}
     assert quoted & defined == set(hadafrac.__all__)
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    """The generators are built on first draw: `numpy.random` costs set-up
+    time and memory that a caller who draws nothing should not pay."""
+    path = [str(Path(hadafrac.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hadafrac; print('numpy.random' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    assert proc.stdout == "False\n", proc.stderr
