@@ -44,10 +44,10 @@ from .operators import (
 POWERCHECK_TOL = 1e-10
 SEMIGROUP_TOL = 1e-5
 
-# A refinement estimate above these (relative) levels means the value
-# printed would be untrustworthy, so the command reports non-convergence
-# instead.  The derivative gate is looser because its estimate reflects
-# finite differencing, not just quadrature.
+# A refinement estimate above tol * max(floor, |value|) means the value printed
+# would be untrustworthy, so the command reports non-convergence instead.  The
+# integral's gate is relative (floor 0); the derivative's is looser and absolute
+# below |value| = 1 (floor 1): its estimate reflects finite differencing too.
 INTEGRATE_CONVERGENCE_TOL = 1e-6
 DERIVE_CONVERGENCE_TOL = 1e-3
 
@@ -107,25 +107,24 @@ def _build_parser():
         help="which inequality check to fuzz",
     )
     p_fuzz.add_argument(
-        "--trials", type=int, default=100, help="number of trials (default 100)"
+        "--trials", type=int, default=FuzzConfig.trials, help="trials to run (default %(default)s)"
     )
     return parser
 
 
-def _require_converged(result, tol, what):
-    scale = max(1.0, abs(result.value))
-    if not result.estimated_error <= tol * scale:
+def _require_converged(result, tol, floor, what):
+    if not result.estimated_error <= tol * max(floor, abs(result.value)):
         raise QuadratureError(
             f"{what} did not converge: estimated error {result.estimated_error:.3g} "
             f"on value {result.value:.6g} (the integrand may be singular or rough)"
         )
 
 
-def _cmd_operator(args, operator, tol, what):
+def _cmd_operator(args, operator, tol, floor, what):
     """integrate and derive: apply `operator` to the expression, gated at `tol`."""
     f = as_function(parse_expr(args.expr))
     result = operator(f, args.alpha, args.t, nodes=args.nodes)
-    _require_converged(result, tol, what)
+    _require_converged(result, tol, floor, what)
     print("%.15f" % result.value)
     print("estimated error %.3g" % result.estimated_error)
     return 0
@@ -208,10 +207,10 @@ def _cmd_fuzz(args):
 # Operators are looked up at call time, so a wrapper bound to their names sees every call.
 _COMMANDS = {
     "integrate": lambda args: _cmd_operator(
-        args, hadamard_integral, INTEGRATE_CONVERGENCE_TOL, "integral"
+        args, hadamard_integral, INTEGRATE_CONVERGENCE_TOL, 0.0, "integral"
     ),
     "derive": lambda args: _cmd_operator(
-        args, hadamard_derivative, DERIVE_CONVERGENCE_TOL, "derivative"
+        args, hadamard_derivative, DERIVE_CONVERGENCE_TOL, 1.0, "derivative"
     ),
     "powercheck": _cmd_powercheck,
     "semigroup": _cmd_semigroup,

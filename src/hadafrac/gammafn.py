@@ -1,9 +1,10 @@
 """Gamma function on the positive real axis.
 
-Self-contained Lanczos evaluation, accurate to better than 1e-13 relative
-over the supported domain [2.2e-308, 170].  Orders and exponents used elsewhere in
-the package are all positive, so no reflection formula is needed: arguments
-below 1/2 are lifted with the recurrence Gamma(z) = Gamma(z+1)/z.
+Self-contained Lanczos evaluation on the supported domain [2.2e-308, 170];
+against mpmath at 200 bits the worst relative error found is 2.7e-13 (near
+z = 153), and it is at most 3e-15 for z <= 3.  Orders and exponents used
+elsewhere in the package are all positive, so no reflection formula is
+needed: arguments below 1/2 are lifted with Gamma(z) = Gamma(z+1)/z.
 """
 
 import math

@@ -25,17 +25,18 @@ tolerances are constants, not options: a report carries lhs and bound,
 from which a caller can judge it at any other threshold.
 
 Every check runs on the positive discrete measure that the Gauss-Jacobi
-rule of each order induces at t (`operators.Measure`).  Each function is
-evaluated once, at a geometric grid on [1, t] plus every node of every
-measure; the hypotheses are checked on those values, and the integrals
-are the measures applied to the same values.  So the hypotheses hold at
-exactly the points the integrals use, where each inequality holds for
-the measure itself.  A violation raises EnvelopeError naming the smallest
-offending point.
+rule of each order induces at t (`operators.Measure`).  A check is its
+argument checks, its hypothesis and its formula, a function of the
+measures' integrals, the sampled values and the check's constants; one
+driver, `_verify`, does the rest for all nine.  It evaluates each function
+once, at a geometric grid on [1, t] plus every node of every measure,
+checks the hypothesis on those values and applies the formula to the same
+values.  So the hypotheses hold at exactly the points the integrals use,
+where each inequality holds for the measure itself.  A violation raises
+EnvelopeError naming the smallest offending point.
 """
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -164,51 +165,6 @@ def _report(theorem_id, lhs, bound, params):
     )
 
 
-def _finite(check):
-    """Report a check's float overflow as QuadratureError.
-
-    Python float arithmetic raises on overflow (x ** p) and on a division by
-    a product that underflowed to zero (m * n_lo of tiny bands).  NumPy
-    arithmetic runs with its overflow warnings off: an overflowing array
-    reaches Measure.integral or _report as inf or NaN, and they raise.
-    """
-
-    @functools.wraps(check)
-    def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return check(*args, **kwargs)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise QuadratureError(f"{check.__name__}: {exc}") from exc
-
-    return checked
-
-
-def _sample(orders, t, nodes, *fns):
-    """Measures of the given orders at t, and each of `fns` evaluated once.
-
-    The sample points are a geometric grid of ENVELOPE_SAMPLES points on [1, t]
-    followed by the nodes of each measure in turn, unsorted and with any
-    duplicates kept.  Returns (tau, integrals, values, params): values[j]
-    is fns[j] at tau, integrals[k] maps an array of values at tau to its
-    integral under the measure of orders[k] (a contiguous slice of the
-    array holds its nodes), and params records the orders as alpha (and
-    beta) and t.
-    """
-    measures = [Measure(order, t, nodes) for order in orders]
-    t = measures[0].t
-    grid = t ** _UNIT
-    tau = np.concatenate([grid, *(m.tau for m in measures)])
-    ends = np.cumsum([grid.size, *(m.tau.size for m in measures)]).tolist()
-    integrals = [
-        lambda v, m=m, a=a, b=b: m.integral(v[a:b])
-        for m, a, b in zip(measures, ends, ends[1:])
-    ]
-    values = [_eval_on(f, tau) for f in fns]
-    params = dict(zip(("alpha", "beta"), map(float, orders)), t=t)
-    return tau, integrals, values, params
-
-
 def _require(tau, name, *conditions):
     """Raise EnvelopeError at the smallest sample point where a hypothesis fails.
 
@@ -226,27 +182,6 @@ def _require(tau, name, *conditions):
             raise EnvelopeError(f"{name}: {reason} at tau={where!r}", tau=where)
 
 
-def _between(v, lo, hi):
-    """Conditions for 0 < lo <= v <= hi."""
-    return (
-        (lo > 0.0, "lower envelope is not strictly positive"),
-        (lo <= v, "function drops below its lower envelope"),
-        (v <= hi, "function exceeds its upper envelope"),
-    )
-
-
-def _require_bands(tau, xv, yv, u1, u2, v1, v2):
-    """Hypothesis of T31-T33 and P31-P33: u1 <= x <= u2, v1 <= y <= v2."""
-    _require(tau, "x", *_between(xv, u1, u2))
-    _require(tau, "y", *_between(yv, v1, v2))
-
-
-def _require_signs(tau, xv, yv):
-    """Hypothesis of YOUNG and POWMEAN: x, y >= 0."""
-    _require(tau, "x", (xv >= 0.0, "function is negative"))
-    _require(tau, "y", (yv >= 0.0, "function is negative"))
-
-
 def _quotient(num, den):
     """num / den for a ratio check; den is 0 where every integral vanishes (t = 1)."""
     if den == 0.0:
@@ -254,39 +189,150 @@ def _quotient(num, den):
     return num / den
 
 
-@_finite
+def _verify(theorem_id, orders, t, nodes, functions, hypothesis, formula, constants=()):
+    """Sample, check and report one inequality: the work shared by the nine checks.
+
+    Evaluates each of `functions` once, at tau: a geometric grid of
+    ENVELOPE_SAMPLES points on [1, t], then the nodes of the measure of each
+    order in turn (unsorted, duplicates kept).  hypothesis(tau, *values,
+    *constants) must pass; formula(*integrals, *values, *constants) gives
+    (lhs, bound) or (lhs, bound, extra params), where integrals[k] maps
+    values at tau to their integral under the measure of orders[k].
+
+    A Python float overflow (x ** p) or division by an underflowed product
+    (m * n_lo of tiny bands) becomes QuadratureError.  NumPy runs with its
+    overflow warnings off: an overflowing array reaches Measure.integral or
+    _report as inf or NaN, and they raise.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            measures = [Measure(order, t, nodes) for order in orders]
+            grid = measures[0].t ** _UNIT
+            tau = np.concatenate([grid, *(m.tau for m in measures)])
+            ends = np.cumsum([grid.size, *(m.tau.size for m in measures)]).tolist()
+            integrals = [
+                lambda v, m=m, a=a, b=b: m.integral(v[a:b])
+                for m, a, b in zip(measures, ends, ends[1:])
+            ]
+            values = [_eval_on(f, tau) for f in functions]
+            hypothesis(tau, *values, *constants)
+            lhs, bound, *extra = formula(*integrals, *values, *constants)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise QuadratureError(f"{theorem_id.value}: {exc}") from exc
+    params = dict(zip(("alpha", "beta"), map(float, orders)), t=measures[0].t)
+    params.update(*extra)
+    return _report(theorem_id, lhs, bound, params)
+
+
+# The hypotheses.  Each takes the sample points, the sampled values and the
+# check's constants, which lead with its envelopes; it ignores the rest.
+def _bands(tau, x, y, u1, u2, v1, v2, *_):
+    """Hypothesis of T31-T33 and P31-P33: 0 < u1 <= x <= u2, 0 < v1 <= y <= v2."""
+    for name, v, lo, hi in (("x", x, u1, u2), ("y", y, v1, v2)):
+        _require(tau, name, (lo > 0.0, "lower envelope is not strictly positive"),
+                 (lo <= v, "function drops below its lower envelope"),
+                 (v <= hi, "function exceeds its upper envelope"))
+
+
+def _signs(tau, x, y, *_):
+    """Hypothesis of YOUNG and POWMEAN: x, y >= 0."""
+    _require(tau, "x", (x >= 0.0, "function is negative"))
+    _require(tau, "y", (y >= 0.0, "function is negative"))
+
+
+def _open_ratio(tau, x, y, m, M, *_):
+    """Hypothesis of T34: y > 0 and m < x/y < M."""
+    _require(tau, "y", (y > 0.0, "function is not strictly positive"))
+    ratio = x / y
+    _require(tau, "x/y", ((m < ratio) & (ratio < M), f"leaves the open interval ({m:g}, {M:g})"))
+
+
+# The formulas.  Each maps the integrals, the sampled values and the
+# check's constants to (lhs, bound) or (lhs, bound, extra params).
+def _t31(ia, x, y, u1, u2, v1, v2):
+    lhs = ia(v1 * v2 * x**2) * ia(u1 * u2 * y**2)
+    bound = 0.25 * ia((v1 * u1 + v2 * u2) * x * y) ** 2
+    return lhs, bound
+
+
+def _t32(ia, ib, x, y, u1, u2, v1, v2):
+    lhs = ia(u1 * u2) * ib(v1 * v2) * ia(x**2) * ib(y**2)
+    cross = ia(u1 * x) * ib(v1 * y) + ia(u2 * x) * ib(v2 * y)
+    return lhs, 0.25 * cross**2
+
+
+def _t33(ia, ib, x, y, u1, u2, v1, v2):
+    lhs = ia(x**2) * ib(y**2)
+    bound = ia(u2 * x * y / v1) * ib(v2 * x * y / u1)
+    return lhs, bound
+
+
+def _constant_ps_bound(m, M, n_lo, N_hi):
+    low = m * n_lo
+    high = M * N_hi
+    root = math.sqrt(low / high) + math.sqrt(high / low)
+    return 0.25 * root**2
+
+
+def _p31(ia, x, y, m, M, n_lo, N_hi):
+    lhs = _quotient(ia(x**2) * ia(y**2), ia(x * y) ** 2)
+    return lhs, _constant_ps_bound(m, M, n_lo, N_hi)
+
+
+def _p32(ia, ib, x, y, m, M, n_lo, N_hi, alpha, beta, t):
+    prefactor = power_rule_integral(1.0, alpha, t) * power_rule_integral(1.0, beta, t)
+    lhs = _quotient(prefactor * ia(x**2) * ib(y**2), (ia(x) * ib(y)) ** 2)
+    return lhs, _constant_ps_bound(m, M, n_lo, N_hi)
+
+
+def _p33(ia, ib, x, y, m, M, n_lo, N_hi):
+    lhs = ia(x**2) * ib(y**2)
+    factor = (M * N_hi) / (m * n_lo)
+    bound = factor * ia(x * y) * ib(x * y)
+    return lhs, bound
+
+
+def _t34(ia, x, y, m, M, p):
+    q = conjugate_exponent(p)
+    c_p = 2.0 ** (p - 1.0) * M**p / (p * (M + 1.0) ** p)
+    c_q = 2.0 ** (q - 1.0) / (q * (m + 1.0) ** q)
+    bound = c_p * ia(x**p + y**p) + c_q * ia(x**q + y**q)
+    mid = (1.0 / p) * (M / (M + 1.0)) ** p * ia((x + y) ** p) + (
+        (1.0 / q) * (1.0 / (m + 1.0)) ** q * ia((x + y) ** q))
+    return ia(x * y), bound, dict(p=p, q=q, m=m, M=M, young_mid=mid)
+
+
+def _young(ia, x, y, p):
+    q = conjugate_exponent(p)
+    bound = (1.0 / p) * ia(x**p) + (1.0 / q) * ia(y**q)
+    return ia(x * y), bound, dict(p=p, q=q)
+
+
+def _powmean(ia, x, y, r):
+    bound = 2.0 ** (r - 1.0) * ia(x**r + y**r)
+    return ia((x + y) ** r), bound, dict(r=r)
+
+
 def polya_szego_single(x, y, env, alpha, t, *, nodes=64):
     """One-order Polya-Szego type check (T31).
 
     lhs   = I^a{v1 v2 x^2}(t) * I^a{u1 u2 y^2}(t)
     bound = (1/4) * (I^a{(v1 u1 + v2 u2) x y}(t))^2
     """
-    tau, (ia,), (xv, yv, u1, u2, v1, v2), params = _sample(
-        (alpha,), t, nodes, x, y, env.u1, env.u2, env.v1, env.v2
-    )
-    _require_bands(tau, xv, yv, u1, u2, v1, v2)
-    lhs = ia(v1 * v2 * xv**2) * ia(u1 * u2 * yv**2)
-    bound = 0.25 * ia((v1 * u1 + v2 * u2) * xv * yv) ** 2
-    return _report(TheoremId.T31, lhs, bound, params)
+    functions = (x, y, env.u1, env.u2, env.v1, env.v2)
+    return _verify(TheoremId.T31, (alpha,), t, nodes, functions, _bands, _t31)
 
 
-@_finite
 def polya_szego_double(x, y, env, alpha, beta, t, *, nodes=64):
     """Two-order Polya-Szego type check (T32).
 
     lhs   = I^a{u1 u2}(t) I^b{v1 v2}(t) I^a{x^2}(t) I^b{y^2}(t)
     bound = (1/4) * (I^a{u1 x}(t) I^b{v1 y}(t) + I^a{u2 x}(t) I^b{v2 y}(t))^2
     """
-    tau, (ia, ib), (xv, yv, u1, u2, v1, v2), params = _sample(
-        (alpha, beta), t, nodes, x, y, env.u1, env.u2, env.v1, env.v2
-    )
-    _require_bands(tau, xv, yv, u1, u2, v1, v2)
-    lhs = ia(u1 * u2) * ib(v1 * v2) * ia(xv**2) * ib(yv**2)
-    cross = ia(u1 * xv) * ib(v1 * yv) + ia(u2 * xv) * ib(v2 * yv)
-    return _report(TheoremId.T32, lhs, 0.25 * cross**2, params)
+    functions = (x, y, env.u1, env.u2, env.v1, env.v2)
+    return _verify(TheoremId.T32, (alpha, beta), t, nodes, functions, _bands, _t32)
 
 
-@_finite
 def product_bound(x, y, env, alpha, beta, t, *, nodes=64):
     """Envelope-ratio product check (T33).
 
@@ -296,36 +342,20 @@ def product_bound(x, y, env, alpha, beta, t, *, nodes=64):
     Positivity of u1 and v1 is part of the envelope hypothesis, so the
     divisions are safe once the precondition check passes.
     """
-    tau, (ia, ib), (xv, yv, u1, u2, v1, v2), params = _sample(
-        (alpha, beta), t, nodes, x, y, env.u1, env.u2, env.v1, env.v2
-    )
-    _require_bands(tau, xv, yv, u1, u2, v1, v2)
-    lhs = ia(xv**2) * ib(yv**2)
-    bound = ia(u2 * xv * yv / v1) * ib(v2 * xv * yv / u1)
-    return _report(TheoremId.T33, lhs, bound, params)
+    functions = (x, y, env.u1, env.u2, env.v1, env.v2)
+    return _verify(TheoremId.T33, (alpha, beta), t, nodes, functions, _bands, _t33)
 
 
-def _constant_ps_bound(cb):
-    low = cb.m * cb.n_lo
-    high = cb.M * cb.N_hi
-    root = math.sqrt(low / high) + math.sqrt(high / low)
-    return 0.25 * root**2
-
-
-@_finite
 def constant_polya_szego(x, y, cb, alpha, t, *, nodes=64):
     """Constant-envelope Polya-Szego ratio check (P31).
 
     lhs   = I^a{x^2}(t) I^a{y^2}(t) / (I^a{x y}(t))^2
     bound = (1/4) * (sqrt(m n / (M N)) + sqrt(M N / (m n)))^2
     """
-    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
-    _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
-    lhs = _quotient(ia(xv**2) * ia(yv**2), ia(xv * yv) ** 2)
-    return _report(TheoremId.P31, lhs, _constant_ps_bound(cb), params)
+    bands = (cb.m, cb.M, cb.n_lo, cb.N_hi)
+    return _verify(TheoremId.P31, (alpha,), t, nodes, (x, y), _bands, _p31, bands)
 
 
-@_finite
 def constant_polya_szego_two_order(x, y, cb, alpha, beta, t, *, nodes=64):
     """Two-order constant-envelope ratio check (P32).
 
@@ -336,29 +366,20 @@ def constant_polya_szego_two_order(x, y, cb, alpha, beta, t, *, nodes=64):
     I^a{1}(t) * I^b{1}(t) through the power rule; the two agree to
     round-off, which a unit test pins down.
     """
-    tau, (ia, ib), (xv, yv), params = _sample((alpha, beta), t, nodes, x, y)
-    _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
-    prefactor = power_rule_integral(1.0, alpha, t) * power_rule_integral(1.0, beta, t)
-    lhs = _quotient(prefactor * ia(xv**2) * ib(yv**2), (ia(xv) * ib(yv)) ** 2)
-    return _report(TheoremId.P32, lhs, _constant_ps_bound(cb), params)
+    constants = (cb.m, cb.M, cb.n_lo, cb.N_hi, alpha, beta, t)
+    return _verify(TheoremId.P32, (alpha, beta), t, nodes, (x, y), _bands, _p32, constants)
 
 
-@_finite
 def ratio_bound_constant(x, y, cb, alpha, beta, t, *, nodes=64):
     """Constant-envelope product comparison across two orders (P33).
 
     lhs   = I^a{x^2}(t) * I^b{y^2}(t)
     bound = (M N / (m n)) * I^a{x y}(t) * I^b{x y}(t)
     """
-    tau, (ia, ib), (xv, yv), params = _sample((alpha, beta), t, nodes, x, y)
-    _require_bands(tau, xv, yv, cb.m, cb.M, cb.n_lo, cb.N_hi)
-    lhs = ia(xv**2) * ib(yv**2)
-    factor = (cb.M * cb.N_hi) / (cb.m * cb.n_lo)
-    bound = factor * ia(xv * yv) * ib(xv * yv)
-    return _report(TheoremId.P33, lhs, bound, params)
+    bands = (cb.m, cb.M, cb.n_lo, cb.N_hi)
+    return _verify(TheoremId.P33, (alpha, beta), t, nodes, (x, y), _bands, _p33, bands)
 
 
-@_finite
 def minkowsky_related(x, y, p, m, M, alpha, t, *, nodes=64):
     """Minkowski-type check via a Young splitting (T34).
 
@@ -381,42 +402,19 @@ def minkowsky_related(x, y, p, m, M, alpha, t, *, nodes=64):
     m, M = check_real("m", m), check_real("M", M)
     if not (0.0 < m < M):
         raise DomainError(f"need 0 < m < M, got m={m:g}, M={M:g}")
-    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
-    _require(tau, "y", (yv > 0.0, "function is not strictly positive"))
-    ratio = xv / yv
-    _require(tau, "x/y", ((m < ratio) & (ratio < M), f"leaves the open interval ({m:g}, {M:g})"))
-    q = conjugate_exponent(p)
-    c_p = 2.0 ** (p - 1.0) * M**p / (p * (M + 1.0) ** p)
-    c_q = 2.0 ** (q - 1.0) / (q * (m + 1.0) ** q)
-    bound = c_p * ia(xv**p + yv**p) + c_q * ia(xv**q + yv**q)
-    mid = (1.0 / p) * (M / (M + 1.0)) ** p * ia((xv + yv) ** p) + (1.0 / q) * (
-        1.0 / (m + 1.0)
-    ) ** q * ia((xv + yv) ** q)
-    params.update(p=p, q=q, m=m, M=M, young_mid=mid)
-    return _report(TheoremId.T34, ia(xv * yv), bound, params)
+    return _verify(TheoremId.T34, (alpha,), t, nodes, (x, y), _open_ratio, _t34, (m, M, p))
 
 
-@_finite
 def young_pointwise_check(x, y, p, alpha, t, *, nodes=64):
     """Young product check (YOUNG): I^a{x y} <= I^a{x^p}/p + I^a{y^q}/q.
 
     Takes an exponent p > 1; q = p / (p - 1) is its conjugate.
     """
     p = _exponent("p", p)
-    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
-    _require_signs(tau, xv, yv)
-    q = conjugate_exponent(p)
-    bound = (1.0 / p) * ia(xv**p) + (1.0 / q) * ia(yv**q)
-    params.update(p=p, q=q)
-    return _report(TheoremId.YOUNG, ia(xv * yv), bound, params)
+    return _verify(TheoremId.YOUNG, (alpha,), t, nodes, (x, y), _signs, _young, (p,))
 
 
-@_finite
 def power_mean_check(x, y, r, alpha, t, *, nodes=64):
     """Power-mean check (POWMEAN): I^a{(x+y)^r} <= 2^(r-1) I^a{x^r + y^r}."""
     r = _exponent("r", r)
-    tau, (ia,), (xv, yv), params = _sample((alpha,), t, nodes, x, y)
-    _require_signs(tau, xv, yv)
-    bound = 2.0 ** (r - 1.0) * ia(xv**r + yv**r)
-    params["r"] = r
-    return _report(TheoremId.POWMEAN, ia((xv + yv) ** r), bound, params)
+    return _verify(TheoremId.POWMEAN, (alpha,), t, nodes, (x, y), _signs, _powmean, (r,))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hadafrac
-from hadafrac.cli import main
+from hadafrac.cli import _build_parser, main
 from hadafrac import inequalities
 from hadafrac.fuzzing import CSV_HEADER, FuzzConfig, run_fuzz
 
@@ -156,6 +156,8 @@ class TestFuzzCommand:
             capsys, "--seed", seed, "fuzz", "--theorem", "T33", "--trials", "3"
         )
         assert implicit == explicit
+        args = _build_parser().parse_args(["fuzz", "--theorem", "T33"])
+        assert (args.seed, args.trials) == (FuzzConfig.master_seed, FuzzConfig.trials)
 
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         for path in (tmp_path / "missing" / "run.csv", tmp_path):
@@ -238,6 +240,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "integrate", "1/(x-1)", "1.0", "2.0")
         assert code == 3
         assert "quadrature failure" in err
+
+    def test_integral_gate_is_relative_below_one(self, capsys):
+        # Prints 0.000002553621057 under an absolute gate (estimate 9.97e-7);
+        # the exact value is 3.5720598e-06.
+        argv = ("--nodes", "3", "integrate", "x^6.9046", "20", "44.4362")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "did not converge" in err
+        assert out == ""
 
     def test_semigroup_overflow_is_three(self, capsys):
         code, out, err = run_cli(capsys, "semigroup", "1e307", "1", "0.05", "2")

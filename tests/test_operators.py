@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import hyp1f1
 
 from hadafrac.errors import DomainError, ExprEvalError, QuadratureError, RoughnessWarning
 from hadafrac.expressions import as_function, parse_expr
@@ -128,6 +130,24 @@ def test_power_rule_against_quadrature(beta, alpha, t):
         f, alpha, t, estimate_error=False, endpoint_exponent=beta - 1.0
     ).value
     assert abs(got - expect) <= 1e-10 * abs(expect)
+
+
+def powers_oracle(mu, alpha, t):
+    """I^a[tau^mu](t) = t^mu (ln t)^a / Gamma(a+1) 1F1(a; a+1; -mu ln t), from u = ln(t/tau)."""
+    log_t = math.log(t)
+    z = -mu * log_t
+    # The series 1 + a z / (a + 1) is exact in double below |z| = 1e-8, where
+    # scipy's hyp1f1 can return nan (at |z| near 1e-180 for a = 0.0625).
+    kummer = 1.0 + alpha * z / (alpha + 1.0) if abs(z) < 1e-8 else hyp1f1(alpha, alpha + 1.0, z)
+    return t**mu * log_t**alpha / math.gamma(alpha + 1.0) * kummer
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.05, 5.0), mu=st.floats(-3.0, 6.0), t=st.floats(1.1, 15.0))
+@example(alpha=0.0625, mu=9.85673669163616e-192, t=2.0)  # hyp1f1 gives nan here
+def test_powers_match_their_confluent_closed_form(alpha, mu, t):
+    got = hadamard_integral(lambda tau: tau**mu, alpha, t, nodes=32).value
+    assert got == pytest.approx(powers_oracle(mu, alpha, t), rel=1e-11, abs=0.0)
 
 
 def test_power_rule_plain_rule_converges_slowly_but_surely():
