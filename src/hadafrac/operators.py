@@ -294,7 +294,7 @@ def hadamard_derivative(f, alpha, t, nodes=64):
     # at this step size means the difference quotient is unreliable.
     if spread > _ROUGHNESS_TOL and abs(forward - backward) > 1e-12:
         warnings.warn(
-            f"one-sided slopes disagree by {spread:.2e} at t={t:g}; "
+            f"one-sided slopes disagree by {spread:.2e} at t={t!r}; "
             "result may be inaccurate for non-smooth input",
             RoughnessWarning,
             stacklevel=2,

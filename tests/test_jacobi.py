@@ -1,5 +1,6 @@
 """Quadrature rule checks: scipy as cross-oracle plus analytic Beta moments."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from hadafrac.gammafn import GAMMA_MAX_ARG
 from hadafrac.jacobi import (
     MAX_RULE_NODES,
     MIN_RULE_ALPHA,
+    _jacobi_eval_vec,
+    _recurrence_table,
     build_jacobi_rule,
     jacobi_rule_01,
 )
@@ -192,3 +195,59 @@ def test_rejects_nonintegrable_exponents():
         jacobi_rule_01(8, math.inf)
     with pytest.raises(DomainError):
         jacobi_rule_01(8, 0.5, math.nan)
+
+
+def one_degree_at_a_time(n, a, b, x):
+    """(P_n, P_{n-1}, P'_n) with the recurrence table rebuilt and c2 + c3 x
+    formed inside the degree loop: the oracle for the blocked evaluation."""
+    one = x.dtype.type(1.0)
+    p_prev = np.ones_like(x)
+    p = x.dtype.type(0.5 * (a - b)) + x.dtype.type(0.5 * (a + b + 2.0)) * x
+    j = np.arange(2, n + 1, dtype=np.float64)
+    two_j = 2.0 * j + a + b
+    coeffs = np.stack((
+        2.0 * j * (j + a + b) * (two_j - 2.0),
+        (two_j - 1.0) * (a * a - b * b),
+        (two_j - 1.0) * two_j * (two_j - 2.0),
+        2.0 * (j + a - 1.0) * (j + b - 1.0) * two_j,
+    )).astype(x.dtype)
+    for c1, c2, c3, c4 in zip(*coeffs):
+        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
+    two_n = 2.0 * n + a + b
+    dp = (n * (a - b - two_n * x) * p + 2.0 * (n + a) * (n + b) * p_prev) / (
+        x.dtype.type(two_n) * (one - x) * (one + x)
+    )
+    return p, p_prev, dp
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+# n - 1 degrees run in blocks of 64: below, at and across one block.
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 66, 129, 300])
+@pytest.mark.parametrize("a,b", [(0.0, -0.95), (0.0, 1.5), (-0.5, -0.5), (-0.1, -0.9), (2.0, 0.5)])
+def test_blocked_recurrence_keeps_the_bits(dtype, n, a, b):
+    x = np.linspace(-0.999, 0.999, 301).astype(dtype)
+    table = _recurrence_table(n, a, b).astype(dtype)
+    for got, expect in zip(_jacobi_eval_vec(n, a, b, x, table), one_degree_at_a_time(n, a, b, x)):
+        assert got.dtype == expect.dtype == dtype
+        assert np.all(np.isfinite(expect))
+        # Equal values with equal signs: the same bits, zeros included.
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+# SHA-256 over the float.hex bits of jacobi_rule_01's nodes and weights on a
+# fixed grid of sizes and endpoint exponents, recorded before each rule built
+# its recurrence table once.  Sizes 65 and up run the recurrence over more
+# than one block of degrees.  A change that moves rule bits (for instance a
+# construction without np.longdouble) updates the digest and says why.
+RULE_BITS_SHA256 = "2689b9b346aa2e1d2ed94158141675dc286f8a6288d01674aad736125ac1236e"
+
+
+def test_rules_keep_their_bits():
+    lines = []
+    for n in (2, 16, 64, 65, 66, 130, 257):
+        for zero_exponent in (-0.95, -0.5, 0.0, 1.5):
+            for one_exponent in (0.0, 0.5, 2.0):
+                s, w = jacobi_rule_01(n, zero_exponent, one_exponent)
+                lines.append(" ".join(float(v).hex() for v in (*s, *w)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RULE_BITS_SHA256

@@ -150,6 +150,27 @@ def test_powers_match_their_confluent_closed_form(alpha, mu, t):
     assert got == pytest.approx(powers_oracle(mu, alpha, t), rel=1e-11, abs=0.0)
 
 
+def derivative_of_powers_oracle(mu, alpha, t):
+    """D^a[tau^mu](t) = (ln t)^-a 1F1(1; 1-a; mu ln t) / Gamma(1-a): t d/dt of
+    the I^(1-a) form above, after Kummer's transformation; mu = 0 gives D^a[1]."""
+    log_t = math.log(t)
+    return log_t**-alpha * hyp1f1(1.0, 1.0 - alpha, mu * log_t) / math.gamma(1.0 - alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]),
+    mu=st.floats(-3.0, 6.0),
+    t=st.floats(1.1, 15.0),
+)
+@example(alpha=0.5, mu=0.0, t=math.e)  # the derivative of 1
+def test_derivative_of_powers_matches_its_closed_form(alpha, mu, t):
+    # The central difference of hadamard_derivative lands near 1e-10 here
+    # (worst seen 2.3e-9 at 64 nodes), well inside the gate.
+    got = hadamard_derivative(lambda tau: tau**mu, alpha, t, nodes=64).value
+    assert got == pytest.approx(derivative_of_powers_oracle(mu, alpha, t), rel=1e-7, abs=0.0)
+
+
 def test_power_rule_plain_rule_converges_slowly_but_surely():
     # Without the endpoint hint the non-integer case still lands around 1e-7
     # at 64 nodes; this pins the plain route's behaviour so a regression in
@@ -345,6 +366,12 @@ def test_rough_integrand_warns():
     jagged = lambda x: np.sin(1e9 * x)
     with pytest.warns(RoughnessWarning):
         hadamard_derivative(jagged, 0.5, math.exp(0.5))
+
+
+def test_roughness_warning_names_the_exact_point():
+    # Printed with :g this t read "t=1", a point the derivative refuses.
+    with pytest.warns(RoughnessWarning, match=r"at t=1\.0000001; "):
+        hadamard_derivative(lambda x: x, 0.5, 1.0000001)
 
 
 @pytest.mark.parametrize(
