@@ -14,7 +14,6 @@ from .errors import (
     ExprSyntaxError,
     HadafracError,
     QuadratureError,
-    RoughnessWarning,
 )
 from .expressions import as_function, eval_expr, parse_expr
 from .fuzzing import FuzzConfig, run_fuzz, run_trial
@@ -56,7 +55,6 @@ __all__ = [
     "FuzzConfig",
     "HadafracError",
     "QuadratureError",
-    "RoughnessWarning",
     "as_function",
     "constant_polya_szego",
     "constant_polya_szego_two_order",

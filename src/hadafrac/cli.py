@@ -133,16 +133,17 @@ def _cmd_operator(args, operator, tol, floor, what):
 def _cmd_powercheck(args):
     max_beta = check_real("--max-beta", args.max_beta)
     max_alpha = check_real("--max-alpha", args.max_alpha)
-    if max_beta <= 0.0 or max_alpha <= 0.0:
-        raise DomainError("powercheck ranges must be positive")
+    betas = [beta for beta in _POWER_BETAS if beta <= max_beta]
+    alphas = [alpha for alpha in _POWER_ALPHAS if alpha <= max_alpha]
+    if not betas or not alphas:
+        raise DomainError(
+            f"powercheck ranges must be positive and select a grid case: "
+            f"--max-beta >= {_POWER_BETAS[0]:g} and --max-alpha >= {_POWER_ALPHAS[0]:g}"
+        )
     worst = 0.0
     cases = 0
-    for beta in _POWER_BETAS:
-        if beta > max_beta:
-            continue
-        for alpha in _POWER_ALPHAS:
-            if alpha > max_alpha:
-                continue
+    for beta in betas:
+        for alpha in alphas:
             for t in _POWER_TS:
                 exact = power_rule_integral(beta, alpha, t)
                 f = _log_power(beta)

@@ -82,8 +82,3 @@ class ExprEvalError(ExprError):
         super().__init__(f"{message} in '{subexpr}' at tau={tau!r}")
         self.subexpr = subexpr
         self.tau = tau
-
-
-class RoughnessWarning(UserWarning):
-    """The two one-sided difference quotients of a fractional derivative
-    disagree beyond tolerance; the integrand is likely not smooth at t."""

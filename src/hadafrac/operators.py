@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HadafracError, QuadratureError, RoughnessWarning
+from .errors import DomainError, HadafracError, QuadratureError
 from .errors import check_int, check_real
 from .gammafn import gamma
 from .jacobi import MAX_RULE_NODES, MIN_RULE_ALPHA, build_jacobi_rule, check_rule_order
 from .jacobi import jacobi_rule_01
 
 import math
-import warnings
 
 # Largest admissible mesh grading exponent; beyond this the first cell width
 # underflows for practical mesh sizes.
@@ -37,20 +36,19 @@ _MAX_MESH_CELLS = 2**16
 # Relative step for the central difference inside the derivative operator.
 _FD_REL_STEP = 1e-5
 
-# One-sided vs central slope disagreement that triggers RoughnessWarning.
-_ROUGHNESS_TOL = 1e-3
-
 
 @dataclass(frozen=True)
 class OperatorResult:
     """Value of an operator application plus an internal error estimate.
 
-    estimated_error is an absolute, heuristic estimate, not a bound: rule
-    doubling for the spectral route, Richardson difference for the graded
-    route, one-sided slope spread for the derivative.  It can fall below the
-    true error: on ln(tau)^(b-1) integrands the graded estimate at n = 512
-    did in about two cases of three, and rule doubling at 4 nodes in all.
-    nodes_used counts quadrature nodes in the primary evaluation only.
+    estimated_error is an absolute, heuristic estimate, not a bound, and the
+    only quality signal a result carries: rule doubling for the spectral
+    route, Richardson difference for the graded route, one-sided slope
+    spread for the derivative, which omits quadrature truncation.  It can
+    fall below the true error: on ln(tau)^(b-1) integrands the graded
+    estimate at n = 512 did in about two cases of three, and rule doubling
+    at 4 nodes in all.  nodes_used counts quadrature nodes in the primary
+    evaluation only.
     """
 
     value: float
@@ -263,9 +261,11 @@ def hadamard_derivative(f, alpha, t, nodes=64):
     """Fractional derivative of order 0 < alpha < 1 at t > 1.
 
     Computed as t * d/dt of the complementary integral of order 1 - alpha,
-    with a central difference in t.  A spread between the one-sided slopes
-    beyond 0.1% raises RoughnessWarning, signalling that f is not smooth
-    enough near t for the step size in use.
+    with a central difference in t.  estimated_error is t times half the
+    spread between the one-sided slopes: large when f is not smooth enough
+    near t for the step size in use.  It does not see the quadrature
+    truncation of the complementary integral, so too few nodes can leave a
+    wrong value with a small estimate.
     """
     alpha = check_real("alpha", alpha)
     if not 0.0 < alpha <= 1.0 - MIN_RULE_ALPHA:
@@ -288,17 +288,6 @@ def hadamard_derivative(f, alpha, t, nodes=64):
     central_slope = (upper - lower) / (2.0 * h)
     forward = (upper - center) / h
     backward = (center - lower) / h
-    scale = max(abs(central_slope), abs(forward), abs(backward), 1e-300)
-    spread = abs(forward - backward) / scale
-    # For smooth f the one-sided slopes differ by O(h f''); a large spread
-    # at this step size means the difference quotient is unreliable.
-    if spread > _ROUGHNESS_TOL and abs(forward - backward) > 1e-12:
-        warnings.warn(
-            f"one-sided slopes disagree by {spread:.2e} at t={t!r}; "
-            "result may be inaccurate for non-smooth input",
-            RoughnessWarning,
-            stacklevel=2,
-        )
     value = t * central_slope
     err = t * abs(forward - backward) / 2.0
     return OperatorResult(value=value, estimated_error=err, nodes_used=nodes)

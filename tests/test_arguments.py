@@ -171,7 +171,7 @@ def _numbers(result):
     return [result]
 
 
-@pytest.mark.filterwarnings("ignore::hadafrac.errors.RoughnessWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(CASES))
 @settings(max_examples=40, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -215,7 +215,7 @@ CLI_COMMANDS = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("ignore::hadafrac.errors.RoughnessWarning")
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=120, deadline=10000, suppress_health_check=[HealthCheck.too_slow])
 @given(options=CLI_OPTIONS, command=CLI_COMMANDS)
 def test_every_command_exits_zero_to_three(options, command):

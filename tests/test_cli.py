@@ -79,6 +79,21 @@ class TestDerive:
         assert code == 2
         assert "error:" in err
 
+    def test_rough_integrand_is_a_quadrature_failure(self, capsys):
+        code, _, err = run_cli(capsys, "derive", "sin(1000000000*x)", "0.5", "1.6487212707")
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("quadrature failure:")
+
+    @pytest.mark.filterwarnings("error")
+    def test_sign_change_prints_no_warning(self, capsys):
+        # Smooth input next to a zero of D^0.9[tau^-1.125]: the one-sided
+        # slopes differ by 0.7% of the slope, yet the value is within 1e-8
+        # of exact, so the value and its estimate are all that is printed.
+        code, _, err = run_cli(capsys, "derive", "x^-1.125", "0.9", "1.1015625")
+        assert code == 0
+        assert err == ""
+
 
 class TestPowercheck:
     def test_default_grid_passes(self, capsys):
@@ -98,6 +113,14 @@ class TestPowercheck:
         code, _, err = run_cli(capsys, "powercheck", "--max-alpha", "0")
         assert code == 2
         assert "positive" in err
+
+    @pytest.mark.parametrize("flag, value", [("--max-alpha", "0.1"), ("--max-beta", "0.5")])
+    def test_range_below_the_grid_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "powercheck", flag, value)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
 
 
 class TestSemigroup:
