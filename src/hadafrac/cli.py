@@ -14,23 +14,19 @@ Human-readable numbers carry 15 digits; CSV rows carry 17 significant
 digits and are byte-identical across runs with the same flags and seed.
 The master seed of `fuzz` is --seed, 0 when not given.  Fuzz trials are
 judged by the checks' fixed pass rule, which no flag changes, so a failing
-trial's reproducer line needs only --nodes, --seed and --theorem.  An --out
-file that cannot be opened for writing is a usage error.
+trial's reproducer line needs only --nodes, --seed and --theorem.  Output
+that cannot be written (an --out file that cannot be opened or filled, a
+full device, a closed pipe) is a usage error.
 """
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EnvelopeError,
-    ExprError,
-    QuadratureError,
-    check_real,
-)
+from .errors import DomainError, HadafracError, QuadratureError, check_real
 from .expressions import as_function, parse_expr
 from .fuzzing import FuzzConfig, run_fuzz
 from .inequalities import TheoremId
@@ -181,11 +177,10 @@ def _cmd_fuzz(args):
     )
     if args.out is not None:
         try:
-            fh = open(args.out, "w", encoding="utf-8", newline="")
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                summary = run_fuzz(config, csv_file=fh)
         except OSError as exc:
             raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
-        with fh:
-            summary = run_fuzz(config, csv_file=fh)
         report_to = sys.stdout
     else:
         summary = run_fuzz(config, csv_file=sys.stdout)
@@ -223,13 +218,20 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ExprError, DomainError, EnvelopeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a failing write shows here, not at interpreter exit
+        return code
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 3
+    except HadafracError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # standard output is full, or its reader has gone
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        # What stays buffered goes nowhere, so the flush at exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

@@ -57,11 +57,7 @@ class EnvelopeError(HadafracError, ValueError):
         self.tau = tau
 
 
-class ExprError(HadafracError, ValueError):
-    """Base class for expression parsing/evaluation errors."""
-
-
-class ExprSyntaxError(ExprError):
+class ExprSyntaxError(HadafracError, ValueError):
     """Malformed expression text.
 
     Carries the byte offset of the offending token and the set of token
@@ -74,7 +70,7 @@ class ExprSyntaxError(ExprError):
         self.expected = expected
 
 
-class ExprEvalError(ExprError):
+class ExprEvalError(HadafracError, ValueError):
     """Domain fault while evaluating an expression (log of a nonpositive
     number, division by zero, 0 raised to a negative power, ...)."""
 

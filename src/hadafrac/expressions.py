@@ -279,6 +279,11 @@ def _too_deep(offset):
     return ExprSyntaxError(f"expression deeper than {_MAX_DEPTH} levels", offset, frozenset())
 
 
+def _too_deep_tree():
+    # Only a tree built by hand gets deep enough to exhaust the Python stack.
+    return DomainError(f"expression tree deeper than {_MAX_DEPTH} levels")
+
+
 def _check_height(node, levels):
     """Raise ExprSyntaxError if the tree under `node` has over `levels` levels."""
     if levels < 1:
@@ -289,8 +294,17 @@ def _check_height(node, levels):
 
 
 def serialize(node):
-    """Render an AST back to source that reparses to an equal tree."""
-    return _render(node, 0)
+    """Render an AST as source text that reparses to a tree of the same value.
+
+    The reparsed tree is equal unless the AST holds a negative Const:
+    serialize(Const(-2.0)) is "-2", and parse_expr("-2") is
+    Unary("neg", Const(2.0)).  A tree built by hand too deep to walk raises
+    DomainError.
+    """
+    try:
+        return _render(node, 0)
+    except RecursionError:
+        raise _too_deep_tree() from None
 
 
 def _render(node, context):
@@ -336,7 +350,8 @@ def _eval(node, x):
 
 
 def eval_expr(ast, tau):
-    """Evaluate an AST at tau (scalar or numpy array of the same shape out)."""
+    """Evaluate an AST at tau (scalar or numpy array of the same shape out).
+    A tree built by hand too deep to walk raises DomainError."""
     scalar = np.isscalar(tau) or np.ndim(tau) == 0
     try:
         x = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -348,7 +363,10 @@ def eval_expr(ast, tau):
         if not all_finite(x):
             bad = float(x[~np.isfinite(x)][0])
             raise DomainError(f"expression evaluated at a non-finite point tau={bad!r}")
-        out = _eval(ast, x)
+        try:
+            out = _eval(ast, x)
+        except RecursionError:
+            raise _too_deep_tree() from None
     return float(out[0]) if scalar else out.reshape(np.shape(tau))
 
 

@@ -55,6 +55,9 @@ ENVELOPE_SAMPLES = 256
 # Exponents of the geometric grid: t ** _UNIT spans [1, t].
 _UNIT = np.linspace(0.0, 1.0, ENVELOPE_SAMPLES)
 
+# The names of a check's orders, in the order it takes them.
+_ORDERS = ("alpha", "beta")
+
 
 class TheoremId(str, enum.Enum):
     """Identifiers for the nine inequality checks."""
@@ -206,7 +209,7 @@ def _verify(theorem_id, orders, t, nodes, functions, hypothesis, formula, consta
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            measures = [Measure(order, t, nodes) for order in orders]
+            measures = [Measure(o, t, nodes, name=name) for name, o in zip(_ORDERS, orders)]
             grid = measures[0].t ** _UNIT
             tau = np.concatenate([grid, *(m.tau for m in measures)])
             ends = np.cumsum([grid.size, *(m.tau.size for m in measures)]).tolist()
@@ -219,7 +222,7 @@ def _verify(theorem_id, orders, t, nodes, functions, hypothesis, formula, consta
             lhs, bound, *extra = formula(*integrals, *values, *constants)
     except (OverflowError, ZeroDivisionError) as exc:
         raise QuadratureError(f"{theorem_id.value}: {exc}") from exc
-    params = dict(zip(("alpha", "beta"), map(float, orders)), t=measures[0].t)
+    params = dict(zip(_ORDERS, map(float, orders)), t=measures[0].t)
     params.update(*extra)
     return _report(theorem_id, lhs, bound, params)
 

@@ -182,15 +182,16 @@ def jacobi_rule_01(n: int, zero_exponent: float, one_exponent: float = 0.0):
     return s, w
 
 
-def check_rule_order(alpha, n):
-    """(alpha, n) as (float, int), or DomainError unless the operators may use that rule."""
-    alpha = check_real("alpha", alpha)
+def check_rule_order(alpha, n, name="alpha"):
+    """(alpha, n) as (float, int), or DomainError, naming the order `name`,
+    unless the operators may use that rule."""
+    alpha = check_real(name, alpha)
     if not MIN_RULE_ALPHA <= alpha <= GAMMA_MAX_ARG:
         # Below the floor the endpoint clustering makes rule quality not
         # certifiable; above the ceiling Gamma(alpha), which every operator
         # needs alongside the rule, overflows.
         raise DomainError(
-            f"order alpha must lie in [{MIN_RULE_ALPHA:g}, {GAMMA_MAX_ARG:g}], got {alpha!r}"
+            f"order {name} must lie in [{MIN_RULE_ALPHA:g}, {GAMMA_MAX_ARG:g}], got {alpha!r}"
         )
     return alpha, check_int("nodes", n, 2, MAX_RULE_NODES)
 

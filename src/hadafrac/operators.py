@@ -96,7 +96,8 @@ class Measure:
     s^(alpha-1) (1-s)^g and divides each w_i by (1-s_i)^g.  That is again a
     rule for s^(alpha-1), now exact when f behaves like (ln tau)^g times a
     polynomial in ln tau, since ln tau_i = (1-s_i) ln t.  Only the plain
-    rule (g = 0) has its weight sum checked against 1/alpha.
+    rule (g = 0) has its weight sum checked against 1/alpha.  An order
+    outside the rules' range raises DomainError calling it `name`.
 
     Every weight is positive, so an inequality between integrands that holds
     at the points tau_i also holds between their integrals.
@@ -104,9 +105,9 @@ class Measure:
 
     __slots__ = ("alpha", "t", "endpoint_exponent", "nodes", "tau", "weights", "prefactor")
 
-    def __init__(self, alpha, t, n, endpoint_exponent=0.0):
+    def __init__(self, alpha, t, n, endpoint_exponent=0.0, *, name="alpha"):
         t = _check_t(t)
-        alpha, n = check_rule_order(alpha, n)
+        alpha, n = check_rule_order(alpha, n, name)
         g = check_real("endpoint_exponent", endpoint_exponent)
         if g == 0.0:
             self.nodes, self.weights = build_jacobi_rule(alpha, n)
@@ -126,6 +127,10 @@ class Measure:
         if not math.isfinite(value):
             raise QuadratureError(f"integral overflows at t={self.t:g}")
         return value
+
+    def apply(self, f):
+        """The integral of the callable f: f evaluated at `tau`, then summed."""
+        return self.integral(_eval_on(f, self.tau))
 
 
 def hadamard_integral(f, alpha, t, nodes=64, estimate_error=True, endpoint_exponent=0.0):
@@ -152,38 +157,31 @@ def hadamard_integral(f, alpha, t, nodes=64, estimate_error=True, endpoint_expon
         build_jacobi_rule(measure.alpha, count)
     if measure.t == 1.0:
         return OperatorResult(value=0.0, estimated_error=0.0, nodes_used=count)
-
-    def apply(m):
-        return m.integral(_eval_on(f, m.tau))
-
-    value = apply(measure)
-    err = abs(apply(Measure(alpha, t, 2 * count, g)) - value) if estimate_error else 0.0
+    value = measure.apply(f)
+    err = abs(Measure(alpha, t, 2 * count, g).apply(f) - value) if estimate_error else 0.0
     return OperatorResult(value=value, estimated_error=err, nodes_used=count)
 
 
-def _graded_mesh(alpha, length, n):
-    grading = min(_MAX_GRADING, max(1.0, 2.0 / alpha))
-    return length * (np.arange(n + 1) / n) ** grading
+def _product_trapezoid(f, alpha, t, cells):
+    """Integral of order alpha at t on a product-trapezoid mesh of `cells`
+    cells over u = ln(t/tau) in [0, ln t], graded toward u = 0.
 
-
-def _product_trapezoid(fvals, u, alpha):
-    """Integral of u^(alpha-1) * (linear interpolant of fvals) over the mesh.
-
-    Cell moments of the singular factor are evaluated in closed form, so only
-    the interpolation of the smooth factor limits accuracy.  All cell weights
-    are nonnegative, which the inequality checks rely on.
+    Cell moments of the singular factor u^(alpha-1) are evaluated in closed
+    form, so only the linear interpolation of f limits accuracy.  The mesh
+    has no empty cell to divide by: at t the next double above 1, grading
+    _MAX_GRADING and _MAX_MESH_CELLS cells, its first and narrowest cell is
+    still about 5e-209 wide.
     """
+    grading = min(_MAX_GRADING, max(1.0, 2.0 / alpha))
+    u = math.log(t) * (np.arange(cells + 1) / cells) ** grading
+    fvals = _eval_on(f, np.minimum(t, np.maximum(1.0, t * np.exp(-u))))
     p, q = u[:-1], u[1:]
     d = q - p
-    live = d > 0.0
-    p, q, d = p[live], q[live], d[live]
     moment0 = (q**alpha - p**alpha) / alpha
     moment1 = (q ** (alpha + 1.0) - p ** (alpha + 1.0)) / (alpha + 1.0)
     left = (q * moment0 - moment1) / d
     right = (moment1 - p * moment0) / d
-    lo = fvals[:-1][live]
-    hi = fvals[1:][live]
-    return float(np.dot(left, lo) + np.dot(right, hi))
+    return float(np.dot(left, fvals[:-1]) + np.dot(right, fvals[1:])) / gamma(alpha)
 
 
 def hadamard_integral_graded(f, alpha, t, n=512):
@@ -201,16 +199,9 @@ def hadamard_integral_graded(f, alpha, t, n=512):
     n = check_int("mesh size n", n, 8, _MAX_MESH_CELLS)
     if t == 1.0:
         return OperatorResult(value=0.0, estimated_error=0.0, nodes_used=n + 1)
-    length = math.log(t)
-
-    def apply(m):
-        u = _graded_mesh(alpha, length, m)
-        tau = np.minimum(t, np.maximum(1.0, t * np.exp(-u)))
-        return _product_trapezoid(_eval_on(f, tau), u, alpha) / gamma(alpha)
-
     with np.errstate(over="ignore", invalid="ignore"):  # high-order cell moments overflow
-        value = apply(n)
-        err = abs(value - apply(n // 2)) / 3.0
+        value = _product_trapezoid(f, alpha, t, n)
+        err = abs(value - _product_trapezoid(f, alpha, t, n // 2)) / 3.0
     if not math.isfinite(value + err):
         raise QuadratureError(f"graded integral overflows for alpha={alpha:g}, t={t:g}")
     return OperatorResult(value=value, estimated_error=err, nodes_used=n + 1)
@@ -277,14 +268,9 @@ def hadamard_derivative(f, alpha, t, nodes=64):
     if t == 1.0:
         raise DomainError("derivative needs t > 1")
     h = min(_FD_REL_STEP * t, 0.25 * (t - 1.0))
-
-    def anti(point):
-        measure = Measure(1.0 - alpha, point, nodes)
-        return measure.integral(_eval_on(f, measure.tau))
-
-    upper = anti(t + h)
-    lower = anti(t - h)
-    center = anti(t)
+    upper, lower, center = (
+        Measure(1.0 - alpha, point, nodes).apply(f) for point in (t + h, t - h, t)
+    )
     central_slope = (upper - lower) / (2.0 * h)
     forward = (upper - center) / h
     backward = (center - lower) / h
@@ -302,12 +288,11 @@ def semigroup_residual(f, alpha, beta, t, n=64):
     upper endpoint into its weight, keeping the composed route spectrally
     accurate.  Returns |nested - direct| / max(1, |direct|).
     """
-    alpha = check_real("alpha", alpha)
-    beta = check_real("beta", beta)
-    if beta <= 0.0:
-        raise DomainError(f"inner order beta must be positive, got {beta:g}")
     t = _check_t(t)
     n = check_int("nodes", n, 16, MAX_RULE_NODES // 2)
+    alpha, _ = check_rule_order(alpha, n)
+    beta, _ = check_rule_order(beta, n, "beta")
+    check_rule_order(alpha + beta, n, "alpha + beta")
     direct = hadamard_integral(f, alpha + beta, t, nodes=2 * n, estimate_error=False).value
     outer = Measure(alpha, t, n, beta)
     if t == 1.0:

@@ -190,6 +190,14 @@ class TestFuzzCommand:
             assert (code, out) == (2, "")
             assert err.startswith("error: cannot write --out") and err.count("\n") == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_out_device_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--out", "/dev/full", "fuzz", "--theorem", "T31", "--trials", "50"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write --out '/dev/full': No space left on device\n"
+
     def test_failing_trials_exit_one_with_a_reproducer_each(self, capsys, tmp_path, monkeypatch):
         # The fuzzer looks each check up by name, so this stand-in fails
         # trials 1, 4 and 5 of every run of eight.
@@ -314,12 +322,13 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
-def run_module(*argv):
+def run_module(*argv, stdout=subprocess.PIPE):
     """Run `python -m hadafrac.cli` on the package these tests imported."""
     path = [str(Path(hadafrac.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "hadafrac.cli", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
@@ -335,3 +344,20 @@ class TestSubprocessInvocation:
     def test_module_entry_point_failure_code(self):
         proc = run_module("integrate", "oops(", "1", "2")
         assert proc.returncode == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_standard_output_is_a_usage_error(self):
+        with open("/dev/full", "w") as full:
+            proc = run_module("integrate", "1", "0.5", E_STR, stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: No space left on device\n"
+
+    def test_closed_pipe_is_a_usage_error(self):
+        reader, writer = os.pipe()
+        os.close(reader)  # the reader is gone before the first row
+        try:
+            proc = run_module("fuzz", "--theorem", "T31", "--trials", "3000", stdout=writer)
+        finally:
+            os.close(writer)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: Broken pipe\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hadafrac.errors import ExprEvalError, ExprSyntaxError
+from hadafrac.errors import DomainError, ExprEvalError, ExprSyntaxError
 from hadafrac.expressions import (
     MAX_SOURCE_BYTES,
     Binary,
@@ -157,6 +157,11 @@ def test_round_trip_random_trees(tree):
     assert parse_expr(serialize(tree)) == tree
 
 
+def test_negative_constant_reparses_to_its_negation():
+    assert serialize(Const(-2.0)) == "-2"
+    assert parse_expr("-2") == Unary("neg", Const(2.0))
+
+
 def test_eval_domain_faults_carry_context():
     with pytest.raises(ExprEvalError) as info:
         eval_expr(parse_expr("ln(x - 2)"), 1.5)
@@ -216,6 +221,10 @@ def test_syntax_errors_carry_offset_and_expected():
 
     with pytest.raises(ExprSyntaxError):
         parse_expr("(1 + x")
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr("ln(x")  # a call left open
+    assert info.value.offset == 4
+    assert info.value.expected == frozenset({")"})
     with pytest.raises(ExprSyntaxError):
         parse_expr("ln x")
     with pytest.raises(ExprSyntaxError):
@@ -256,6 +265,16 @@ def test_expressions_at_the_depth_cap_evaluate_and_serialize(text):
     ast = parse_expr(text)
     assert math.isfinite(eval_expr(ast, 1.0))
     assert parse_expr(serialize(ast)) == ast
+
+
+def test_hand_built_tree_too_deep_to_walk_is_a_domain_error():
+    tree = Var()
+    for _ in range(5000):
+        tree = Unary("neg", tree)
+    with pytest.raises(DomainError, match="deeper than 100 levels"):
+        eval_expr(tree, 2.0)
+    with pytest.raises(DomainError, match="deeper than 100 levels"):
+        serialize(tree)
 
 
 @pytest.mark.parametrize("text, offset", [("8\u0663", 1), ("x\u00e9", 1), ("1 + \u03c0", 4)])

@@ -587,6 +587,14 @@ def test_every_check_applies_the_fixed_pass_rule(theorem):
         _call_check(*args, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("theorem", [TheoremId.T32, TheoremId.T33, TheoremId.P32, TheoremId.P33])
+@pytest.mark.parametrize("alpha, beta, named", [(0.5, 0.01, "beta"), (0.01, 0.5, "alpha")])
+def test_two_order_checks_name_the_order_out_of_range(theorem, alpha, beta, named):
+    with pytest.raises(DomainError) as info:
+        _call_check(theorem, ONE, ONE, 0.5, 2.0, alpha, beta, 2.0, 2.0)
+    assert str(info.value) == f"order {named} must lie in [0.05, 170], got 0.01"
+
+
 def test_pass_rule_boundary():
     edge = 2.0 * (1.0 + REL_TOL) + ABS_TOL
     assert _report(TheoremId.T31, edge, 2.0, {}).passed

@@ -347,6 +347,22 @@ def test_rejects_bad_orders_and_parameters():
             hadamard_integral_graded(np.exp, 0.5, 2.0, n)
 
 
+@pytest.mark.parametrize("alpha, beta, named", [
+    (0.5, 0.01, "order beta must lie in [0.05, 170], got 0.01"),
+    (0.01, 0.5, "order alpha must lie in [0.05, 170], got 0.01"),
+    (100.0, 100.0, "order alpha + beta must lie in [0.05, 170], got 200.0"),
+])
+def test_semigroup_names_the_order_out_of_range(alpha, beta, named):
+    with pytest.raises(DomainError) as info:
+        semigroup_residual(np.sqrt, alpha, beta, 2.0)
+    assert str(info.value) == named
+
+
+def test_integral_prefactor_overflow_is_a_quadrature_error():
+    with pytest.raises(QuadratureError, match=r"\(ln t\)\^alpha overflows"):
+        hadamard_integral(lambda x: 1.0 + 0 * x, 150.0, 1e300, estimate_error=False)
+
+
 def test_numpy_integer_sizes_are_accepted():
     assert semigroup_residual(np.exp, 0.5, 0.5, 2.0, n=np.int64(16)) == semigroup_residual(
         np.exp, 0.5, 0.5, 2.0, n=16
@@ -437,6 +453,24 @@ def _operator_bits():
 
 def test_operator_results_keep_their_bits():
     assert _operator_bits() == OPERATOR_BITS_SHA256
+
+
+# SHA-256 over the float.hex bits of the graded route on a grid reaching its
+# extremes: orders down to where the grading caps at 40, t from just above 1
+# to 1e6, and meshes of 8 to 65,536 cells.  Recorded before the product
+# trapezoid dropped its mask of empty cells, which never had one to drop.
+GRADED_BITS_SHA256 = "45a752ee1cc658dc681701b8bf977115bba68439365d103a9f13790445a8a97c"
+
+
+def test_graded_results_keep_their_bits():
+    lines = []
+    for f in (np.sqrt, np.log):
+        for alpha in (0.001, 0.05, 0.3, 1.0, 2.5, 40.0):
+            for t in (1.0000001, 1.5, 8.0, 1e6):
+                for n in (8, 64, 1024, 65536):
+                    r = hadamard_integral_graded(f, alpha, t, n=n)
+                    lines.append(f"{r.value.hex()} {r.estimated_error.hex()} {r.nodes_used}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GRADED_BITS_SHA256
 
 
 # SHA-256 of one buffer holding the run_fuzz CSVs of the nine checks in
