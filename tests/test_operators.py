@@ -457,8 +457,8 @@ def test_operator_results_keep_their_bits():
 
 # SHA-256 over the float.hex bits of the graded route on a grid reaching its
 # extremes: orders down to where the grading caps at 40, t from just above 1
-# to 1e6, and meshes of 8 to 65,536 cells.  Recorded before the product
-# trapezoid dropped its mask of empty cells, which never had one to drop.
+# to 1e6, and meshes of 8 to 65,536 cells.  A change to how the product
+# trapezoid is assembled must leave every bit of every result in place.
 GRADED_BITS_SHA256 = "45a752ee1cc658dc681701b8bf977115bba68439365d103a9f13790445a8a97c"
 
 
