@@ -2,9 +2,9 @@
 
 The package computes Hadamard fractional integrals and derivatives on
 [1, t] through Gauss-Jacobi quadrature in the logarithmic variable,
-cross-checks them against closed forms and a graded-mesh scheme, and
-fuzzes a family of fractional integral inequalities whose hypotheses
-are generated correct by construction.
+checks them against closed forms, and fuzzes a family of fractional
+integral inequalities whose hypotheses are generated correct by
+construction.
 """
 
 from .errors import (
@@ -33,7 +33,6 @@ from .inequalities import (
 from .operators import (
     hadamard_derivative,
     hadamard_integral,
-    hadamard_integral_graded,
     power_rule_derivative,
     power_rule_integral,
     semigroup_residual,
@@ -61,7 +60,6 @@ __all__ = [
     "eval_expr",
     "hadamard_derivative",
     "hadamard_integral",
-    "hadamard_integral_graded",
     "minkowsky_related",
     "parse_expr",
     "polya_szego_double",

@@ -9,9 +9,7 @@ Substituting tau = t^(1-s) turns the integral into
 
     (ln t)^alpha / Gamma(alpha) * integral_0^1 s^(alpha-1) f(t^(1-s)) ds,
 
-so a single Gauss rule per order serves every evaluation point t.  A graded
-product-trapezoid scheme over u = ln(t/tau) provides an independent low-order
-route used to cross-check the spectral one.
+so a single Gauss rule per order serves every evaluation point t.
 """
 
 from dataclasses import dataclass
@@ -26,13 +24,6 @@ from .jacobi import jacobi_rule_01
 
 import math
 
-# Largest admissible mesh grading exponent; beyond this the first cell width
-# underflows for practical mesh sizes.
-_MAX_GRADING = 40.0
-
-# Largest graded mesh, in cells; larger requests are refused up front.
-_MAX_MESH_CELLS = 2**16
-
 # Relative step for the central difference inside the derivative operator.
 _FD_REL_STEP = 1e-5
 
@@ -42,13 +33,11 @@ class OperatorResult:
     """Value of an operator application plus an internal error estimate.
 
     estimated_error is an absolute, heuristic estimate, not a bound, and the
-    only quality signal a result carries: rule doubling for the spectral
-    route, Richardson difference for the graded route, one-sided slope
-    spread for the derivative, which omits quadrature truncation.  It can
-    fall below the true error: on ln(tau)^(b-1) integrands the graded
-    estimate at n = 512 did in about two cases of three, and rule doubling
-    at 4 nodes in all.  nodes_used counts quadrature nodes in the primary
-    evaluation only.
+    only quality signal a result carries: rule doubling for the integral,
+    one-sided slope spread for the derivative, which omits quadrature
+    truncation.  It can fall below the true error: rule doubling at 4 nodes
+    did on every ln(tau)^(b-1) integrand tried.  nodes_used counts
+    quadrature nodes in the primary evaluation only.
     """
 
     value: float
@@ -160,51 +149,6 @@ def hadamard_integral(f, alpha, t, nodes=64, estimate_error=True, endpoint_expon
     value = measure.apply(f)
     err = abs(Measure(alpha, t, 2 * count, g).apply(f) - value) if estimate_error else 0.0
     return OperatorResult(value=value, estimated_error=err, nodes_used=count)
-
-
-def _product_trapezoid(f, alpha, t, cells):
-    """Integral of order alpha at t on a product-trapezoid mesh of `cells`
-    cells over u = ln(t/tau) in [0, ln t], graded toward u = 0.
-
-    Cell moments of the singular factor u^(alpha-1) are evaluated in closed
-    form, so only the linear interpolation of f limits accuracy.  The mesh
-    has no empty cell to divide by: at t the next double above 1, grading
-    _MAX_GRADING and _MAX_MESH_CELLS cells, its first and narrowest cell is
-    still about 5e-209 wide.
-    """
-    grading = min(_MAX_GRADING, max(1.0, 2.0 / alpha))
-    u = math.log(t) * (np.arange(cells + 1) / cells) ** grading
-    fvals = _eval_on(f, np.minimum(t, np.maximum(1.0, t * np.exp(-u))))
-    p, q = u[:-1], u[1:]
-    d = q - p
-    moment0 = (q**alpha - p**alpha) / alpha
-    moment1 = (q ** (alpha + 1.0) - p ** (alpha + 1.0)) / (alpha + 1.0)
-    left = (q * moment0 - moment1) / d
-    right = (moment1 - p * moment0) / d
-    return float(np.dot(left, fvals[:-1]) + np.dot(right, fvals[1:])) / gamma(alpha)
-
-
-def hadamard_integral_graded(f, alpha, t, n=512):
-    """Fractional integral of order alpha at t on a graded product-trapezoid mesh.
-
-    Independent of the Gauss route: integrates u^(alpha-1) f(t e^-u) over
-    u in [0, ln t] with exact cell moments for the singular factor and a mesh
-    graded toward u = 0.  Second-order accurate in 1/n for smooth f; the
-    estimated error is the Richardson difference against the half mesh.
-    """
-    alpha = check_real("alpha", alpha)
-    if alpha <= 0.0:
-        raise DomainError(f"order alpha must be positive, got {alpha:g}")
-    t = _check_t(t)
-    n = check_int("mesh size n", n, 8, _MAX_MESH_CELLS)
-    if t == 1.0:
-        return OperatorResult(value=0.0, estimated_error=0.0, nodes_used=n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # high-order cell moments overflow
-        value = _product_trapezoid(f, alpha, t, n)
-        err = abs(value - _product_trapezoid(f, alpha, t, n // 2)) / 3.0
-    if not math.isfinite(value + err):
-        raise QuadratureError(f"graded integral overflows for alpha={alpha:g}, t={t:g}")
-    return OperatorResult(value=value, estimated_error=err, nodes_used=n + 1)
 
 
 def power_rule_integral(beta, alpha, t):

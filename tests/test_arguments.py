@@ -40,10 +40,8 @@ from hadafrac.jacobi import MAX_RULE_NODES, build_jacobi_rule, check_rule_order,
 from hadafrac.operators import (
     Measure,
     OperatorResult,
-    _MAX_MESH_CELLS,
     hadamard_derivative,
     hadamard_integral,
-    hadamard_integral_graded,
     power_rule_derivative,
     power_rule_integral,
     semigroup_residual,
@@ -96,9 +94,6 @@ CASES = {
     "hadamard_integral": (
         lambda **kw: hadamard_integral(np.sqrt, **kw),
         dict(alpha=ORDERS, t=POINTS, nodes=SIZES, endpoint_exponent=st.floats(-0.9, 3.0))),
-    "hadamard_integral_graded": (
-        lambda **kw: hadamard_integral_graded(np.sqrt, **kw),
-        dict(alpha=st.floats(0.01, 5.0), t=POINTS, n=st.sampled_from([8, 64, 1024]))),
     "hadamard_derivative": (
         lambda **kw: hadamard_derivative(np.log, **kw),
         dict(alpha=st.floats(0.01, 0.95), t=POINTS, nodes=SIZES)),
@@ -248,7 +243,6 @@ def test_every_command_exits_zero_to_three(options, command):
     lambda: run_trial("T99", 0),
     lambda: FuzzConfig(theorem_id="T99"),
     lambda: hadamard_integral(np.sqrt, "0.5", 2.0),
-    lambda: hadamard_integral_graded(np.sqrt, 0.5, 2.0, n=_MAX_MESH_CELLS + 1),
     lambda: gamma(5e-324),
     lambda: PiecewiseLogPoly((0.0,), ((math.nan,),), 1.0, 2.0),
     lambda: PiecewiseLogPoly((0.0, 0.0), ((1.0,), (1.0,)), 1.0, 2.0),

@@ -1,9 +1,10 @@
 """Tests for the inequality checks.
 
 Two oracle routes back these tests: constant cases are pinned by hand
-arithmetic, and the nontrivial cases are cross-checked with the graded
-product-integration quadrature, which shares no code with the
-Gauss-Jacobi path the checks themselves use.
+arithmetic, and the nontrivial cases are checked against the exact integral
+of a polynomial in ln tau or, for other integrands, scipy's adaptive
+quadrature.  Neither shares code with the Gauss-Jacobi path the checks
+themselves use.
 """
 
 import math
@@ -42,17 +43,20 @@ from hadafrac.inequalities import (
     ratio_bound_constant,
     young_pointwise_check,
 )
-from hadafrac.operators import Measure, hadamard_integral_graded, power_rule_integral
+from hadafrac.operators import Measure, power_rule_integral
 from hadafrac.randfuncs import ConstantFunction, random_bounded_function
+from oracles import exact_integral, log_poly, oracle_integral
 
 E = math.e
 ONE = ConstantFunction(1.0)
 TWO = ConstantFunction(2.0)
 UNIT_ENV = BoundingQuadruple(ONE, ONE, ONE, ONE)
+P = np.polynomial.Polynomial
 
 
-def graded(f, alpha, t, n=4096):
-    return hadamard_integral_graded(f, alpha, t, n=n).value
+def exact(p, alpha, t):
+    """The exact integral of order alpha at t of the polynomial p in ln tau."""
+    return exact_integral(log_poly(p), alpha, t)
 
 
 class TestRequire:
@@ -129,14 +133,11 @@ class TestPolyaSzegoSingle:
         r = polya_szego_single(x, y, env, 0.75, E)
         assert r.passed
         assert r.ratio < 1.0
-        lhs_oracle = graded(lambda s: 1.5 * 2.0 * x(s) ** 2, 0.75, E) * graded(
-            lambda s: 1.0 * 2.0 * y(s) ** 2, 0.75, E
-        )
-        cross_oracle = graded(
-            lambda s: (1.5 * 1.0 + 2.0 * 2.0) * x(s) * y(s), 0.75, E
-        )
-        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-5)
-        assert r.bound == pytest.approx(0.25 * cross_oracle**2, rel=1e-5)
+        X, Y = P([1.0, 1.0]), P([2.0, -0.5])
+        lhs_oracle = exact(1.5 * 2.0 * X**2, 0.75, E) * exact(1.0 * 2.0 * Y**2, 0.75, E)
+        cross_oracle = exact((1.5 * 1.0 + 2.0 * 2.0) * X * Y, 0.75, E)
+        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-10)
+        assert r.bound == pytest.approx(0.25 * cross_oracle**2, rel=1e-10)
 
     def test_scale_invariance_of_ratio(self):
         t = 3.0
@@ -183,12 +184,12 @@ class TestPolyaSzegoDouble:
         assert r.passed
         assert r.ratio <= 1.0 + 1e-12
         lhs_oracle = (
-            graded(lambda s: u2(s), 0.4, t)
-            * graded(lambda s: 1.5 * 1.5 + 0.0 * s, 0.9, t)
-            * graded(lambda s: x(s) ** 2, 0.4, t)
-            * graded(lambda s: 1.5**2 + 0.0 * s, 0.9, t)
+            exact(P([u2.value]), 0.4, t)
+            * exact(P([1.5 * 1.5]), 0.9, t)
+            * exact(P([1.0, 0.5]) ** 2, 0.4, t)
+            * exact(P([1.5**2]), 0.9, t)
         )
-        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-5)
+        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-10)
 
     def test_order_symmetry(self):
         x = lambda s: 1.0 + 0.25 * np.log(s)
@@ -247,10 +248,10 @@ class TestProductBound:
         )
         r = product_bound(x, y, env, 0.6, 1.2, 2.0)
         assert r.ratio == pytest.approx(4.0 / 9.0, rel=1e-13)
-        lhs_oracle = graded(lambda s: x(s) ** 2, 0.6, 2.0) * graded(
-            lambda s: y(s) ** 2, 1.2, 2.0
+        lhs_oracle = oracle_integral(lambda s: x(s) ** 2, 0.6, 2.0) * exact(
+            P([1.0, 0.0, 1.0]) ** 2, 1.2, 2.0
         )
-        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-5)
+        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-10)
 
 
 class TestConstantPolyaSzego:
@@ -331,11 +332,12 @@ class TestConstantPolyaSzegoTwoOrder:
         assert r.bound == pytest.approx(81.0 / 80.0, abs=1e-14)
         assert r.passed
         prefactor = math.log(E) / (gamma(1.5) ** 2)
-        sq = graded(lambda s: x(s) ** 2, 0.5, E)
-        unit = graded(lambda s: np.ones_like(np.asarray(s, dtype=float)), 0.5, E)
-        mean = graded(x, 0.5, E)
+        X = P([1.0, 0.0, 0.25])
+        sq = exact(X**2, 0.5, E)
+        unit = exact(P([1.0]), 0.5, E)
+        mean = exact(X, 0.5, E)
         lhs_oracle = prefactor * sq * unit / (mean * unit) ** 2
-        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-5)
+        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-10)
 
 
 class TestRatioBoundConstant:
@@ -358,10 +360,11 @@ class TestRatioBoundConstant:
         r = ratio_bound_constant(x, y, cb, 0.5, 1.0, E)
         assert r.passed
         assert r.ratio <= 1.0 + 1e-12
-        lhs_oracle = graded(lambda s: x(s) ** 2, 0.5, E) * graded(
-            lambda s: y(s) ** 2, 1.0, E
-        )
-        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-5)
+        # (3 - ln tau)^2 vanishes at tau = e^3, where the exact oracle counts
+        # it clipped; at order 1 and t = e its integral is that of (3 - u)^2
+        # over u in [0, 1], 19/3.
+        lhs_oracle = exact(P([1.0, 1.0]) ** 2, 0.5, E) * (19.0 / 3.0)
+        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-10)
 
 
 class TestMinkowskyRelated:
@@ -385,8 +388,8 @@ class TestMinkowskyRelated:
         r = minkowsky_related(x, ONE, 2.0, 0.5, 2.0, 0.8, 3.0)
         assert r.passed
         assert r.margin > 0.0
-        lhs_oracle = graded(x, 0.8, 3.0)
-        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-5)
+        lhs_oracle = exact(P([1.0, 0.1]), 0.8, 3.0)
+        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-10)
 
     def test_young_chain_is_ordered(self):
         x = lambda s: 1.0 + 0.4 * np.log(s)
@@ -426,8 +429,8 @@ class TestYoungPointwise:
         y = lambda s: np.exp(-np.log(s))
         r = young_pointwise_check(x, y, 3.0, 0.5, 2.0)
         assert r.passed
-        lhs_oracle = graded(lambda s: x(s) * y(s), 0.5, 2.0)
-        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-5)
+        lhs_oracle = oracle_integral(lambda s: x(s) * y(s), 0.5, 2.0)
+        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-10)
 
     def test_negative_function_raises(self):
         f = lambda s: np.log(s) - 0.5
@@ -451,8 +454,8 @@ class TestPowerMean:
         x = lambda s: np.log(s)
         r = power_mean_check(x, ONE, 2.5, 0.7, 4.0)
         assert r.passed
-        lhs_oracle = graded(lambda s: (x(s) + 1.0) ** 2.5, 0.7, 4.0)
-        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-4)
+        lhs_oracle = oracle_integral(lambda s: (x(s) + 1.0) ** 2.5, 0.7, 4.0)
+        assert r.lhs == pytest.approx(lhs_oracle, rel=1e-10)
 
     def test_exponent_validation(self):
         with pytest.raises(DomainError):

@@ -18,6 +18,7 @@ from hadafrac.jacobi import (
     build_jacobi_rule,
     jacobi_rule_01,
 )
+from oracles import platform_record
 
 
 def beta_moment(k, zero_exponent, one_exponent):
@@ -250,4 +251,6 @@ def test_rules_keep_their_bits():
             for one_exponent in (0.0, 0.5, 2.0):
                 s, w = jacobi_rule_01(n, zero_exponent, one_exponent)
                 lines.append(" ".join(float(v).hex() for v in (*s, *w)))
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RULE_BITS_SHA256
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RULE_BITS_SHA256, (
+        platform_record()
+    )
