@@ -32,8 +32,9 @@ MAX_SOURCE_BYTES = 64 * 1024
 _MAX_DEPTH = 100
 
 # Every node op: (NumPy function of the operand arrays, domain faults).  Each
-# fault is a test on the operands and the reason it gives, checked in order;
-# a result that is not finite is then reported as an overflow.
+# fault is a test on the operands and the reason it gives.  Every fault makes
+# the result non-finite, so the tests run, in order, only on a result that is
+# not all finite; one that none of them explains is reported as an overflow.
 _OPS = {
     "neg": (np.negative, ()),
     "ln": (np.log, ((lambda a: a <= 0.0, "logarithm of a nonpositive value"),)),
@@ -339,27 +340,34 @@ def _eval(node, x):
     else:
         args = (_eval(node.lhs, x), _eval(node.rhs, x))
     fn, faults = _OPS[node.op]
+    out = fn(*args)
+    if all_finite(out):
+        return out
     for test, reason in faults:
         bad = test(*args)
         if bad.any():
             raise ExprEvalError(reason, serialize(node), float(x[bad][0]))
-    out = fn(*args)
-    if not np.isfinite(out).all():
-        raise ExprEvalError("overflow", serialize(node), float(x[~np.isfinite(out)][0]))
-    return out
+    raise ExprEvalError("overflow", serialize(node), float(x[~np.isfinite(out)][0]))
 
 
 def eval_expr(ast, tau):
     """Evaluate an AST at tau (scalar or numpy array of the same shape out).
     A tree built by hand too deep to walk raises DomainError."""
-    scalar = np.isscalar(tau) or np.ndim(tau) == 0
+    # Ints and floats only: a numeric string or a bool is refused, as
+    # check_real refuses them.
     try:
-        x = np.atleast_1d(np.asarray(tau, dtype=float))
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"tau must be real numbers, got {tau!r}") from None
-    # Overflow becomes an ExprEvalError via the finiteness checks, so the
-    # intermediate warnings carry no information.
-    with np.errstate(over="ignore"):
+        x = np.asarray(tau)
+        real = x.dtype.kind in "iuf"
+    except (TypeError, ValueError):  # a ragged sequence
+        real = False
+    if not real:
+        raise DomainError(f"tau must be real numbers, got {tau!r}")
+    shape = x.shape
+    x = np.atleast_1d(x).astype(float, copy=False)
+    # Every node computes its result before testing it, so a fault or an
+    # overflow first shows up as a non-finite value and NumPy's warnings
+    # about it carry no information; the finiteness checks raise instead.
+    with np.errstate(all="ignore"):
         if not all_finite(x):
             bad = float(x[~np.isfinite(x)][0])
             raise DomainError(f"expression evaluated at a non-finite point tau={bad!r}")
@@ -367,7 +375,7 @@ def eval_expr(ast, tau):
             out = _eval(ast, x)
         except RecursionError:
             raise _too_deep_tree() from None
-    return float(out[0]) if scalar else out.reshape(np.shape(tau))
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def as_function(ast):

@@ -13,11 +13,12 @@ so a single Gauss rule per order serves every evaluation point t.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DomainError, HadafracError, QuadratureError
-from .errors import check_int, check_real
+from .errors import all_finite, check_int, check_real
 from .gammafn import gamma
 from .jacobi import MAX_RULE_NODES, MIN_RULE_ALPHA, build_jacobi_rule, check_rule_order
 from .jacobi import jacobi_rule_01
@@ -53,23 +54,41 @@ def _check_t(t):
 
 
 def _eval_on(f, args):
-    """Evaluate f on an argument vector, accepting scalar-only callables."""
+    """f at a vector of points, one real value each; scalar-only callables
+    are called point by point."""
     try:
-        arr = np.asarray(f(args), dtype=float)
+        arr = np.asarray(f(args))
         vectorized = arr.shape == args.shape
     except HadafracError:  # f's own fault, not a sign that f wants scalars
         raise
     except (TypeError, ValueError):
         vectorized = False
     if not vectorized:
-        arr = np.fromiter((float(f(float(a))) for a in args.ravel()), dtype=float, count=args.size)
-        arr = arr.reshape(args.shape)
-    if not np.isfinite(arr).all():
+        arr = np.array([f(float(a)) for a in args])
+    if arr.shape != args.shape or arr.dtype.kind not in "biuf":
+        raise DomainError(
+            f"integrand must return one real number per point, "
+            f"got {arr[0]!r} at tau={float(args[0])!r}"
+        )
+    arr = arr.astype(float, copy=False)
+    if not all_finite(arr):
         bad = args[~np.isfinite(arr)][:3]
         raise QuadratureError(
             f"integrand returned a non-finite value near tau={bad.tolist()}"
         )
     return arr
+
+
+def _integrate(f, measures, *points):
+    """Each measure's integral of f, then f's values at each array of
+    `points` (shaped like it), from one call of f on all of them together."""
+    arrays = [m.tau for m in measures] + [p.ravel() for p in points]
+    values = _eval_on(f, np.concatenate(arrays))
+    ends = list(accumulate(a.size for a in arrays))
+    parts = [values[a:b] for a, b in zip([0, *ends], ends)]
+    return [m.integral(v) for m, v in zip(measures, parts)] + [
+        v.reshape(p.shape) for p, v in zip(points, parts[len(measures):])
+    ]
 
 
 class Measure:
@@ -117,16 +136,14 @@ class Measure:
             raise QuadratureError(f"integral overflows at t={self.t:g}")
         return value
 
-    def apply(self, f):
-        """The integral of the callable f: f evaluated at `tau`, then summed."""
-        return self.integral(_eval_on(f, self.tau))
-
 
 def hadamard_integral(f, alpha, t, nodes=64, estimate_error=True, endpoint_exponent=0.0):
     """Fractional integral of order alpha at t, by Gauss-Jacobi quadrature.
 
     f must accept a numpy array of points in [1, t] (scalars also work, at a
-    per-point call cost).  Returns an OperatorResult.  With estimate_error
+    per-point call cost) and give one real value per point.  It is called
+    once, on the points of the rule and of the doubled rule together, so it
+    must act elementwise.  Returns an OperatorResult.  With estimate_error
     the rule is doubled once and the difference reported: an estimate, not
     a bound, which tracks the error for smooth f once the rule resolves it.
 
@@ -146,8 +163,9 @@ def hadamard_integral(f, alpha, t, nodes=64, estimate_error=True, endpoint_expon
         build_jacobi_rule(measure.alpha, count)
     if measure.t == 1.0:
         return OperatorResult(value=0.0, estimated_error=0.0, nodes_used=count)
-    value = measure.apply(f)
-    err = abs(Measure(alpha, t, 2 * count, g).apply(f) - value) if estimate_error else 0.0
+    measures = [measure, Measure(alpha, t, 2 * count, g)] if estimate_error else [measure]
+    value, *doubled = _integrate(f, measures)
+    err = abs(doubled[0] - value) if estimate_error else 0.0
     return OperatorResult(value=value, estimated_error=err, nodes_used=count)
 
 
@@ -212,8 +230,8 @@ def hadamard_derivative(f, alpha, t, nodes=64):
     if t == 1.0:
         raise DomainError("derivative needs t > 1")
     h = min(_FD_REL_STEP * t, 0.25 * (t - 1.0))
-    upper, lower, center = (
-        Measure(1.0 - alpha, point, nodes).apply(f) for point in (t + h, t - h, t)
+    upper, lower, center = _integrate(
+        f, [Measure(1.0 - alpha, point, nodes) for point in (t + h, t - h, t)]
     )
     central_slope = (upper - lower) / (2.0 * h)
     forward = (upper - center) / h
@@ -237,7 +255,7 @@ def semigroup_residual(f, alpha, beta, t, n=64):
     alpha, _ = check_rule_order(alpha, n)
     beta, _ = check_rule_order(beta, n, "beta")
     check_rule_order(alpha + beta, n, "alpha + beta")
-    direct = hadamard_integral(f, alpha + beta, t, nodes=2 * n, estimate_error=False).value
+    direct_measure = Measure(alpha + beta, t, 2 * n)
     outer = Measure(alpha, t, n, beta)
     if t == 1.0:
         return 0.0
@@ -247,7 +265,7 @@ def semigroup_residual(f, alpha, beta, t, n=64):
     outer_exp = 1.0 - outer.nodes
     inner_args = t ** np.outer(outer_exp, 1.0 - inner_nodes)
     inner_args = np.minimum(t, np.maximum(1.0, inner_args))
-    fvals = _eval_on(f, inner_args)
+    direct, fvals = _integrate(f, [direct_measure], inner_args)
     inner_pref = (outer_exp * log_t) ** beta / gamma(beta)
     # An overflow here reaches the integral as inf or nan, which
     # Measure.integral reports as QuadratureError.

@@ -272,6 +272,11 @@ def test_every_command_exits_zero_to_three(options, command):
     lambda: PiecewiseLogPoly((0.0, 1.0), ((1.5,), (np.True_,)), 1.0, 3.0),
     lambda: Unary(["sin"], Var()),
     lambda: Binary(["add"], Var(), Var()),
+    lambda: eval_expr(parse_expr("x"), "2"),
+    lambda: eval_expr(parse_expr("x"), True),
+    lambda: eval_expr(parse_expr("x"), np.array([True, False])),
+    lambda: eval_expr(parse_expr("x"), np.array([2.0 + 0j])),
+    lambda: eval_expr(parse_expr("x"), [[1.0], [1.0, 2.0]]),
 ])
 def test_listed_arguments_are_domain_errors(call):
     with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from hadafrac.errors import DomainError, ExprEvalError, ExprSyntaxError
 from hadafrac.expressions import (
+    _OPS,
     MAX_SOURCE_BYTES,
     Binary,
     Const,
@@ -191,6 +192,86 @@ def test_vector_fault_reports_an_offending_point():
     with pytest.raises(ExprEvalError) as info:
         eval_expr(parse_expr("ln(x - 2)"), np.array([3.0, 1.5, 4.0]))
     assert info.value.tau == pytest.approx(1.5)
+
+
+def check_first_eval(node, x):
+    """The evaluator as it was when every node ran its fault tests before its
+    function: the oracle for the one that tests only a non-finite result."""
+    if isinstance(node, Const):
+        return np.full_like(x, node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Unary):
+        args = (check_first_eval(node.arg, x),)
+    else:
+        args = (check_first_eval(node.lhs, x), check_first_eval(node.rhs, x))
+    fn, faults = _OPS[node.op]
+    for test, reason in faults:
+        bad = test(*args)
+        if bad.any():
+            raise ExprEvalError(reason, serialize(node), float(x[bad][0]))
+    out = fn(*args)
+    if not np.isfinite(out).all():
+        raise ExprEvalError("overflow", serialize(node), float(x[~np.isfinite(out)][0]))
+    return out
+
+
+def outcome(evaluate, tree, points):
+    """The bits evaluate(tree, points) gives, or the type and message it raises."""
+    try:
+        return np.asarray(evaluate(tree, np.array(points))).tobytes()
+    except ExprEvalError as exc:
+        return type(exc), str(exc)
+
+
+def check_first(tree, points):
+    with np.errstate(over="ignore"):  # as eval_expr ran it
+        return check_first_eval(tree, points)
+
+
+# Points where faults, signed zeros, underflow and overflow meet.
+EDGE_POINTS = (-0.0, 0.0, -1.0, -2.5, 1e-300, 0.5, 1.0, 2.0, 1e300, 700.0, 710.0, -710.0)
+EDGE_CONSTANTS = (0.0, 1.0, 2.0, 0.5, 3.0, 1.0 / 3.0, 1e-300, 1e300, 700.0, 710.0, math.pi)
+UNARY_OPS = ("neg", "ln", "exp", "sqrt", "abs", "sin", "cos")
+BINARY_OPS = ("add", "sub", "mul", "div", "pow")
+
+
+def random_tree(rng, depth):
+    kind = int(rng.integers(3)) if depth else 0
+    if kind == 0:
+        if rng.integers(2):
+            return Var()
+        return Const(EDGE_CONSTANTS[rng.integers(len(EDGE_CONSTANTS))])
+    if kind == 1:
+        return Unary(UNARY_OPS[rng.integers(len(UNARY_OPS))], random_tree(rng, depth - 1))
+    return Binary(BINARY_OPS[rng.integers(len(BINARY_OPS))],
+                  random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+
+
+def test_testing_only_nonfinite_results_keeps_bits_and_faults():
+    rng = np.random.Generator(np.random.Philox(key=20261022))
+    raised = cases = 0
+    for _ in range(800):
+        tree = random_tree(rng, int(rng.integers(1, 5)))
+        for points in [EDGE_POINTS, *([p] for p in EDGE_POINTS)]:
+            got = outcome(eval_expr, tree, points)
+            assert got == outcome(check_first, tree, points), (serialize(tree), points)
+            raised += isinstance(got, tuple)
+            cases += 1
+    # Both outcomes are common, so neither side of the comparison is idle.
+    assert 0.1 * cases < raised < 0.9 * cases
+
+
+@pytest.mark.parametrize("text, points, message", [
+    # A fault whose non-finite value a later node would turn finite again.
+    ("exp(-1/(x-x))", [2.0], "division by zero in '-1/(x - x)' at tau=2.0"),
+    ("1/exp(1000*x)", [0.5, 1.0], "overflow in 'exp(1000*x)' at tau=1.0"),
+    ("0*ln(x-5)", [6.0, 3.0], "logarithm of a nonpositive value in 'ln(x - 5)' at tau=3.0"),
+])
+def test_masked_faults_are_raised_where_they_happen(text, points, message):
+    tree = parse_expr(text)
+    assert outcome(eval_expr, tree, points) == (ExprEvalError, message)
+    assert outcome(check_first, tree, points) == (ExprEvalError, message)
 
 
 def test_syntax_errors_carry_offset_and_expected():

@@ -20,7 +20,10 @@ from hadafrac.expressions import as_function, parse_expr
 from hadafrac.fuzzing import FuzzConfig, run_fuzz
 from hadafrac.gammafn import gamma
 from hadafrac.inequalities import TheoremId
+from hadafrac.jacobi import build_jacobi_rule
 from hadafrac.operators import (
+    _FD_REL_STEP,
+    Measure,
     OperatorResult,
     hadamard_derivative,
     hadamard_integral,
@@ -227,18 +230,105 @@ def test_scalar_only_callables_are_accepted():
     assert res.value == pytest.approx(expect, rel=1e-12)
 
 
-def test_domain_fault_is_raised_without_scalar_retries():
-    # A fault of the function itself is not a sign that it wants scalars.
-    f = as_function(parse_expr("ln(x - 3)"))
+def counting(f):
+    """f, and the list of the point arrays it has been called on."""
     calls = []
 
     def counted(tau):
         calls.append(tau)
         return f(tau)
 
-    with pytest.raises(ExprEvalError):
-        hadamard_integral(counted, 0.5, 5.0)
+    return counted, calls
+
+
+def separately(f, *measures):
+    """Each measure's integral of f, with f evaluated on each measure alone."""
+    return [m.integral(f(m.tau)) for m in measures]
+
+
+def semigroup_separately(f, alpha, beta, t, n):
+    """semigroup_residual with f evaluated apart on the direct measure and on
+    the inner arguments."""
+    (direct,) = separately(f, Measure(alpha + beta, t, 2 * n))
+    outer = Measure(alpha, t, n, beta)
+    inner_nodes, inner_weights = build_jacobi_rule(beta, n)
+    outer_exp = 1.0 - outer.nodes
+    inner_args = np.minimum(t, np.maximum(1.0, t ** np.outer(outer_exp, 1.0 - inner_nodes)))
+    inner_pref = (outer_exp * math.log(t)) ** beta / gamma(beta)
+    nested = outer.integral(inner_pref * (f(inner_args) @ inner_weights))
+    return abs(nested - direct) / max(1.0, abs(direct))
+
+
+ONCE_CASES = [np.exp, as_function(parse_expr("sqrt(x)*ln(x)^2 + sin(3*x)"))]
+
+
+@pytest.mark.parametrize("f", ONCE_CASES)
+@pytest.mark.parametrize("nodes", [3, 16, 64])
+@pytest.mark.parametrize("g", [0.0, 0.5])
+def test_integral_calls_f_once_and_keeps_each_measures_bits(f, nodes, g):
+    alpha, t = 0.7, 3.5
+    value, doubled = separately(f, Measure(alpha, t, nodes, g), Measure(alpha, t, 2 * nodes, g))
+    for estimate_error, err in ((True, abs(doubled - value)), (False, 0.0)):
+        counted, calls = counting(f)
+        got = hadamard_integral(counted, alpha, t, nodes=nodes, estimate_error=estimate_error,
+                                endpoint_exponent=g)
+        assert len(calls) == 1
+        assert (got.value, got.estimated_error) == (value, err)
+
+
+@pytest.mark.parametrize("f", ONCE_CASES)
+@pytest.mark.parametrize("nodes", [5, 64])
+def test_derivative_calls_f_once_and_keeps_each_measures_bits(f, nodes):
+    alpha, t = 0.35, 2.75
+    h = min(_FD_REL_STEP * t, 0.25 * (t - 1.0))
+    upper, lower, center = separately(
+        f, *(Measure(1.0 - alpha, point, nodes) for point in (t + h, t - h, t))
+    )
+    counted, calls = counting(f)
+    got = hadamard_derivative(counted, alpha, t, nodes=nodes)
     assert len(calls) == 1
+    assert got.value == t * ((upper - lower) / (2.0 * h))
+    assert got.estimated_error == t * abs((upper - center) / h - (center - lower) / h) / 2.0
+
+
+@pytest.mark.parametrize("f", ONCE_CASES)
+@pytest.mark.parametrize("n", [16, 40])
+def test_semigroup_calls_f_once_and_keeps_each_measures_bits(f, n):
+    alpha, beta, t = 0.45, 1.3, 4.0
+    counted, calls = counting(f)
+    assert semigroup_residual(counted, alpha, beta, t, n=n) == semigroup_separately(
+        f, alpha, beta, t, n
+    )
+    assert len(calls) == 1
+
+
+def test_domain_fault_is_raised_without_scalar_retries():
+    # A fault of the function itself is not a sign that it wants scalars.
+    for call in (
+        lambda f: hadamard_integral(f, 0.5, 5.0),
+        lambda f: hadamard_integral(f, 0.5, 5.0, estimate_error=False),
+        lambda f: hadamard_derivative(f, 0.5, 5.0),
+        lambda f: semigroup_residual(f, 0.5, 0.5, 5.0),
+    ):
+        counted, calls = counting(as_function(parse_expr("ln(x - 3)")))
+        with pytest.raises(ExprEvalError):
+            call(counted)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x + 1j,  # a complex value has no real integral
+    lambda x: np.array([math.exp(x)]),  # scalar-only, one array per point
+    lambda x: None,
+])
+def test_integrand_output_that_is_not_one_real_per_point_is_refused(f):
+    for call in (
+        lambda: hadamard_integral(f, 0.5, 2.0),
+        lambda: hadamard_derivative(f, 0.5, 2.0),
+        lambda: semigroup_residual(f, 0.5, 0.5, 2.0),
+    ):
+        with pytest.raises(DomainError, match="one real number per point"):
+            call()
 
 
 def test_prebuilt_rule_paths():
