@@ -263,7 +263,8 @@ def test_testing_only_nonfinite_results_keeps_bits_and_faults():
 
 
 @pytest.mark.parametrize("text, points, message", [
-    # A fault whose non-finite value a later node would turn finite again.
+    # Faults a node above would hide, by making the value finite again, or
+    # misname: 0*ln(x-5) is not finite at the product either.
     ("exp(-1/(x-x))", [2.0], "division by zero in '-1/(x - x)' at tau=2.0"),
     ("1/exp(1000*x)", [0.5, 1.0], "overflow in 'exp(1000*x)' at tau=1.0"),
     ("0*ln(x-5)", [6.0, 3.0], "logarithm of a nonpositive value in 'ln(x - 5)' at tau=3.0"),
